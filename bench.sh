@@ -11,14 +11,16 @@
 #   BenchmarkSnapshotCapture freeze one mid-run engine into a
 #                            checkpoint envelope (the per-run cost of
 #                            every pause, drain, and fleet migration)
-#   BenchmarkSnapshotRestore rebuild a live engine from an envelope
+#   BenchmarkSnapshotReplay  rebuild a live engine from an envelope by
+#                            replaying its first 2000 steps (ns/step)
 #
 # Usage:
 #   ./bench.sh                # default benchtime
 #   ./bench.sh -benchtime 2s  # extra args pass through to 'go test'
 #   ./bench.sh -gate          # additionally FAIL on >20% ns/op
-#                             # regression of AnalyzerSlack or
-#                             # EngineDecision vs the most recent
+#                             # regression of AnalyzerSlack,
+#                             # EngineDecision[Flight], SnapshotCapture
+#                             # or SnapshotReplay vs the most recent
 #                             # committed BENCH_*.json (CI guard)
 #   BENCH_OUT=custom.json ./bench.sh
 #   BENCH_RAW=raw.txt ./bench.sh   # also keep the raw 'go test' output
@@ -50,7 +52,7 @@ if [ -z "$raw" ]; then
     trap 'rm -f "$raw"' EXIT
 fi
 
-pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore)$'
+pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotReplay)$'
 echo "bench.sh: running $pattern (this takes a minute)..." >&2
 go test -run '^$' -bench "$pattern" -benchmem "$@" . | tee "$raw" >&2
 
@@ -78,6 +80,7 @@ $1 ~ /^Benchmark/ && $4 == "ns/op" {
         else if (unit == "allocs/op")  printf ", \"allocs_per_op\": %s", $i
         else if (unit == "ns/decision") printf ", \"ns_per_decision\": %s", $i
         else if (unit == "snapshot-bytes") printf ", \"snapshot_bytes\": %s", $i
+        else if (unit == "ns/step")    printf ", \"ns_per_step\": %s", $i
     }
     printf "}"
 }
@@ -93,8 +96,8 @@ echo "bench.sh: wrote $out ($count benchmarks)" >&2
 
 # Delta report vs the most recent committed BENCH file (ignoring the
 # file just written and any uncommitted ones): per-benchmark ns/op
-# change, and with -gate a hard failure on >20% regression of the two
-# hot-path guards.
+# change, and with -gate a hard failure on >20% regression of the
+# gated benchmarks.
 prev=$(git ls-files 'BENCH_*.json' 2>/dev/null | grep -vx "$out" | sort | tail -n 1 || true)
 if [ -z "$prev" ] || [ ! -f "$prev" ]; then
     echo "bench.sh: no committed BENCH_*.json to compare against" >&2
@@ -120,7 +123,7 @@ function val(line, key,   s) {
     }
     pct = (ns - old[name]) / old[name] * 100
     printf "  %-28s %12.0f -> %-12.0f %+7.1f%%\n", name, old[name], ns, pct > "/dev/stderr"
-    if (pct > 20 && name ~ /^(AnalyzerSlack|EngineDecision|EngineDecisionFlight|SnapshotCapture|SnapshotRestore)$/)
+    if (pct > 20 && name ~ /^(AnalyzerSlack|EngineDecision|EngineDecisionFlight|SnapshotCapture|SnapshotReplay)$/)
         printf "%s %.1f%%\n", name, pct
 }
 ' "$prev" "$out")

@@ -103,14 +103,3 @@ func (s *Source) Fork() *Source { return New(s.Uint64()) }
 // outputs. Use Clone to replay a stream (e.g. re-running one
 // replication in isolation); use Fork for independent substreams.
 func (s *Source) Clone() *Source { return &Source{state: s.state} }
-
-// State returns the source's current position as an opaque 64-bit
-// value, for checkpointing. A new Source given this value via
-// SetState (or New) emits exactly the stream the receiver would emit
-// next — SplitMix64's whole state is the counter.
-func (s *Source) State() uint64 { return s.state }
-
-// SetState repositions the source to a state previously captured with
-// State, restoring the exact substream position: subsequent outputs
-// are identical to what the captured source would have produced.
-func (s *Source) SetState(state uint64) { s.state = state }

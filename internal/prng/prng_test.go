@@ -160,39 +160,3 @@ func TestZeroValueSourceUsable(t *testing.T) {
 		t.Fatalf("zero-value Source produced %v", v)
 	}
 }
-
-func TestStateRoundTrip(t *testing.T) {
-	s := New(0xfeedface)
-	// Advance to an arbitrary mid-stream position.
-	for i := 0; i < 37; i++ {
-		s.Uint64()
-	}
-	st := s.State()
-
-	// A fresh source restored to the captured position must emit the
-	// identical stream as a clone taken at the same instant.
-	restored := New(0)
-	restored.SetState(st)
-	ref := s.Clone()
-	for i := 0; i < 1000; i++ {
-		if a, b := restored.Uint64(), ref.Uint64(); a != b {
-			t.Fatalf("step %d: restored stream diverged: %x != %x", i, a, b)
-		}
-	}
-
-	// State must not advance the receiver.
-	s2 := New(9)
-	want := New(9).Uint64()
-	s2.State()
-	if got := s2.Uint64(); got != want {
-		t.Errorf("State advanced the receiver: %x != %x", got, want)
-	}
-
-	// Float64 substreams restore identically too.
-	a, b := New(0), New(0)
-	a.Float64()
-	b.SetState(a.State())
-	if x, y := a.Float64(), b.Float64(); x != y {
-		t.Errorf("Float64 after restore: %v != %v", x, y)
-	}
-}

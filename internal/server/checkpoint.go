@@ -23,12 +23,13 @@ import (
 const JobCheckpointVersion = 1
 
 // JobCheckpoint is the portable record of a paused job: the full run
-// list, every outcome already recorded, and a mid-flight engine
-// snapshot for each run that was executing when the pause landed. It
-// is self-contained — restoring it on a different daemon (the fleet's
-// live-migration path) or a later process (crash recovery) resumes the
-// job bit-identically, because each snapshot envelope is bound to its
-// run's canonical scenario key.
+// list, every outcome already recorded, and a snapshot envelope (a
+// replay point: step count plus engine digest) for each run that was
+// executing when the pause landed. It is self-contained — restoring
+// it on a different daemon (the fleet's live-migration path) or a
+// later process (crash recovery) resumes the job bit-identically,
+// because each run is deterministic in its request and each envelope
+// is bound to its run's canonical scenario key.
 type JobCheckpoint struct {
 	Version int    `json:"version"`
 	Name    string `json:"name,omitempty"`
@@ -124,9 +125,11 @@ func checkpointFileName(dir, id string) string {
 	return filepath.Join(dir, id+".ckpt.json")
 }
 
-// writeCheckpointFile persists doc atomically (write-then-rename), so
-// a crash mid-write can never leave a torn document where a valid one
-// stood.
+// writeCheckpointFile persists doc atomically and durably: the bytes
+// are synced to a temporary file before it is renamed over the final
+// name, and the directory is synced after, so neither a process crash
+// nor a host crash can leave a torn or empty document where a valid
+// one stood.
 func writeCheckpointFile(dir string, doc *JobCheckpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -137,10 +140,36 @@ func writeCheckpointFile(dir string, doc *JobCheckpoint) error {
 	}
 	final := checkpointFileName(dir, doc.JobID)
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, final)
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// writeSynced writes data to a new file at path and syncs it to
+// stable storage before closing it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RecoverCheckpoints restores every job document found in the

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"dvsslack/internal/obs"
+	"dvsslack/internal/sim"
+	"dvsslack/internal/snapshot"
 )
 
 // longRequest is quickstartRequest stretched to ~200ms of wall time
@@ -146,6 +148,85 @@ func TestPoolPauseResumeDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(res, w) {
 			t.Errorf("resume from %s snapshot diverged:\n got %+v\nwant %+v", name, res, w)
 		}
+	}
+}
+
+// TestPauseDuringReplay pins the checkpoint handshake of a resumed
+// run: while the run is still replaying its prefix, a live capture and
+// a pause must both land at the next step boundary and answer with the
+// envelope being replayed, not wait for the replay to finish. The
+// snapshot sits a quarter of a million steps into longRequest, so a
+// pause that waited for the replay would return a later envelope. The
+// same holds one layer up: checkpointing a just-restored job leaves it
+// checkpointed with the document it was restored from.
+func TestPauseDuringReplay(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	ctx := context.Background()
+
+	req := longRequest("lpshe", 12)
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := req.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 250_000; i++ {
+		if !e.Step() {
+			t.Fatal("run finished before the snapshot position; raise longRequest's horizon")
+		}
+	}
+	snap, err := snapshot.Capture(key, e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type runOut struct {
+		ckpt []byte
+		err  error
+	}
+	ctl := &runControl{}
+	// Requested before the run starts, so the first replay boundary
+	// answers it.
+	liveCh := ctl.Capture()
+	done := make(chan runOut, 1)
+	go func() {
+		_, ckpt, err := s.pool.DoRun(ctx, &req, snap, ctl)
+		done <- runOut{ckpt, err}
+	}()
+	live := <-liveCh
+	if live.err != nil || !bytes.Equal(live.data, snap) {
+		t.Fatalf("live capture during replay = %d bytes (err %v), want the resumed envelope", len(live.data), live.err)
+	}
+
+	ctl.Pause()
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("paused run: %v", o.err)
+	}
+	if !bytes.Equal(o.ckpt, snap) {
+		t.Fatalf("pause returned a %d-byte envelope other than the resumed one; it did not land during the replay", len(o.ckpt))
+	}
+
+	doc := JobCheckpoint{
+		Version:   JobCheckpointVersion,
+		Runs:      []SimRequest{req},
+		Snapshots: map[string]string{"0": base64.StdEncoding.EncodeToString(snap)},
+	}
+	info := decodeResp[JobInfo](t, postJSON(t, hs.URL+"/v1/jobs/restore", doc), http.StatusAccepted)
+	again := decodeResp[JobCheckpoint](t,
+		postJSON(t, hs.URL+"/v1/jobs/"+info.ID+"/checkpoint", nil), http.StatusOK)
+	if !reflect.DeepEqual(again.Snapshots, doc.Snapshots) || len(again.Outcomes) != 0 {
+		t.Fatalf("checkpoint of a replaying job = %d snapshots, %d outcomes; want the restored document back",
+			len(again.Snapshots), len(again.Outcomes))
+	}
+	if st := waitJobAny(t, hs.URL, info.ID).State; st != JobCheckpointed {
+		t.Fatalf("job state = %s, want %s", st, JobCheckpointed)
 	}
 }
 
@@ -373,6 +454,34 @@ func TestShutdownCheckpointsToDisk(t *testing.T) {
 	ref := waitJobAny(t, hsRef.URL, refInfo.ID)
 	if got, want := canonResults(t, final.Results), canonResults(t, ref.Results); got != want {
 		t.Errorf("recovered outcomes differ from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWriteCheckpointFileReplaces pins the durable write path: a
+// second write for the same job replaces the first document in place
+// and leaves no temporary file behind.
+func TestWriteCheckpointFileReplaces(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	for _, name := range []string{"first", "second"} {
+		doc := &JobCheckpoint{Version: JobCheckpointVersion, JobID: "j1", Name: name}
+		if err := writeCheckpointFile(dir, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "j1.ckpt.json" {
+		t.Fatalf("checkpoint dir holds %v, want only j1.ckpt.json", entries)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "j1.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc JobCheckpoint
+	if err := json.Unmarshal(data, &doc); err != nil || doc.Name != "second" {
+		t.Fatalf("document = %+v (err %v), want the second write", doc, err)
 	}
 }
 

@@ -32,7 +32,9 @@ type captureResult struct {
 // The executing worker polls it at every step boundary — the only
 // points where the engine state is snapshottable — so a pause or a
 // live capture lands within one scheduling event of the request, with
-// the hot path paying two atomic loads per step.
+// the hot path paying two atomic loads per step. That holds while a
+// resumed run replays its prefix too: the answer there is the
+// envelope the run resumed from.
 type runControl struct {
 	pause atomic.Bool  // checkpoint-and-stop at the next boundary
 	want  atomic.Int32 // pending live-capture requests
@@ -103,7 +105,7 @@ type work struct {
 	req *SimRequest
 	key string // cache + scenario key; "" disables caching for this run
 	// snapshot, when non-nil, resumes the run from a checkpoint
-	// envelope instead of starting fresh.
+	// envelope (replaying its prefix) instead of starting fresh.
 	snapshot []byte
 	// ctl, when non-nil, lets the job layer pause or live-capture the
 	// run at step boundaries.
@@ -222,15 +224,43 @@ func (p *pool) execute(w *work) outcome {
 		cfg.Observer = obs.Multi(cfg.Observer, fo)
 	}
 	start := time.Now()
-	var e *sim.Engine
+	var env *snapshot.Envelope
 	if w.snapshot != nil {
-		e, err = snapshot.Restore(w.snapshot, w.key, cfg, aud)
-	} else {
-		e, err = sim.NewEngine(cfg)
+		if env, err = snapshot.Open(w.snapshot, w.key); err != nil {
+			w.settle(nil, err)
+			return outcome{err: err}
+		}
 	}
+	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		w.settle(nil, err)
 		return outcome{err: err}
+	}
+	if env != nil {
+		// Replaying the prefix polls the control like the run below,
+		// but the replay point has not moved, so a pause or a live
+		// capture answers with the envelope being replayed.
+		var stop func() bool
+		if w.ctl != nil {
+			stop = func() bool {
+				if w.ctl.pause.Load() {
+					return true
+				}
+				if w.ctl.want.Load() > 0 {
+					w.ctl.answer(w.snapshot, nil)
+				}
+				return false
+			}
+		}
+		reached, err := env.Replay(e, stop)
+		if err != nil {
+			w.settle(nil, err)
+			return outcome{err: err}
+		}
+		if !reached {
+			w.ctl.settle(w.snapshot, nil)
+			return outcome{ckpt: w.snapshot}
+		}
 	}
 	for e.Step() {
 		if w.ctl == nil {

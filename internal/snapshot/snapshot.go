@@ -1,15 +1,20 @@
 // Package snapshot frames simulation checkpoints as versioned,
 // self-describing, integrity-checked byte envelopes.
 //
-// The engine's sim.(*Engine).Snapshot produces raw state bytes with
-// no framing; this package wraps them for storage and the wire:
+// A checkpoint is a replay point, not a state dump. The engine, the
+// seeded workload and every policy are deterministic, so a run's
+// state after N Steps follows from its request and N alone. An
+// envelope therefore carries only the scenario key of the request,
+// the step count, and a digest of the engine's observables at that
+// step (sim.(*Engine).Digest); Restore rebuilds the engine by
+// replaying the prefix and proves the replay by comparing digests.
 //
 //	offset  size  field
 //	0       8     magic "DVSSNAP\x00"
 //	8       8     format version (little-endian uint64)
 //	16      8     body length N (little-endian uint64)
-//	24      N     body (snapbuf: scenario key, sim time, engine
-//	              state, optional auditor state)
+//	24      N     body: step count (LE uint64), 32-byte engine digest,
+//	              then the scenario key in the remaining N-40 bytes
 //	24+N    32    SHA-256 over bytes [0, 24+N)
 //
 // Decoding is strict and fails closed: bad magic, an unknown (or
@@ -21,9 +26,10 @@
 // resumed against a different scenario's configuration.
 //
 // Version policy: the version is bumped on any change to the body
-// layout (including policy/analyzer codec changes in the packages
-// below). Readers accept exactly the versions they know; there is no
-// best-effort decoding of newer snapshots.
+// layout or to what the digest covers. Readers accept exactly the
+// versions they know; there is no best-effort decoding of other
+// snapshots. Version 1 envelopes (engine and auditor state dumps) are
+// rejected with ErrVersion.
 package snapshot
 
 import (
@@ -34,11 +40,10 @@ import (
 
 	"dvsslack/internal/audit"
 	"dvsslack/internal/sim"
-	"dvsslack/internal/snapbuf"
 )
 
 // Version is the current snapshot format version.
-const Version = 1
+const Version = 2
 
 // magic identifies a dvsslack snapshot envelope.
 var magic = [8]byte{'D', 'V', 'S', 'S', 'N', 'A', 'P', 0}
@@ -46,11 +51,12 @@ var magic = [8]byte{'D', 'V', 'S', 'S', 'N', 'A', 'P', 0}
 const (
 	headerLen   = 8 + 8 + 8 // magic + version + body length
 	checksumLen = sha256.Size
+	digestLen   = sha256.Size
+	fixedBody   = 8 + digestLen // step count + digest, before the key
 )
 
-// Typed decode failures. All of them fail closed: Decode returns no
-// envelope, Restore returns no engine, and a caller-supplied auditor
-// is left untouched.
+// Typed failures. All of them fail closed: Decode returns no
+// envelope and Restore returns no engine.
 var (
 	// ErrBadMagic reports bytes that are not a snapshot envelope.
 	ErrBadMagic = errors.New("snapshot: bad magic (not a dvsslack snapshot)")
@@ -67,11 +73,16 @@ var (
 	// ErrKeyMismatch reports a restore against a different scenario
 	// than the snapshot was captured from.
 	ErrKeyMismatch = errors.New("snapshot: scenario key mismatch")
+	// ErrDiverged reports a replay that did not reach the captured
+	// state: the run ended before the recorded step count, or the
+	// engine digest at that step differs.
+	ErrDiverged = errors.New("snapshot: replay diverged from the captured run")
 )
 
 // MaxSnapshotBytes caps the envelope size accepted by Decode and by
-// the dvsd restore endpoint. Real snapshots are a few KB; the cap
-// only exists to bound what a hostile payload can make a server hold.
+// the dvsd restore endpoint. Real snapshots are about a hundred
+// bytes; the cap only exists to bound what a hostile payload can make
+// a server hold.
 const MaxSnapshotBytes = 16 << 20
 
 // Envelope is the decoded content of a snapshot.
@@ -79,40 +90,31 @@ type Envelope struct {
 	// ScenarioKey is the canonical key of the simulation request this
 	// snapshot was captured from (server.ScenarioKey).
 	ScenarioKey string
-	// SimTime is the simulation clock at the checkpoint, for
-	// observability; the authoritative clock travels inside Engine.
-	SimTime float64
-	// Engine is the raw engine state from sim.(*Engine).Snapshot.
-	Engine []byte
-	// Audit is the auditor's shadow state, or nil if the run was not
-	// audited.
-	Audit []byte
+	// Steps is the engine's step count at the checkpoint
+	// (sim.(*Engine).Steps).
+	Steps uint64
+	// Digest is the engine's observables digest at that step
+	// (sim.(*Engine).Digest).
+	Digest [digestLen]byte
 }
 
 // Encode frames env as a versioned, checksummed envelope.
 func Encode(env *Envelope) []byte {
-	body := snapbuf.NewEncoder()
-	body.String(env.ScenarioKey)
-	body.Float64(env.SimTime)
-	body.Uint64(uint64(len(env.Engine)))
-	bodyBytes := append(body.Bytes(), env.Engine...)
-	tail := snapbuf.NewEncoder()
-	tail.Bool(env.Audit != nil)
-	bodyBytes = append(bodyBytes, tail.Bytes()...)
-	bodyBytes = append(bodyBytes, env.Audit...)
-
-	out := make([]byte, 0, headerLen+len(bodyBytes)+checksumLen)
+	bodyLen := fixedBody + len(env.ScenarioKey)
+	out := make([]byte, 0, headerLen+bodyLen+checksumLen)
 	out = append(out, magic[:]...)
 	out = binary.LittleEndian.AppendUint64(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(bodyBytes)))
-	out = append(out, bodyBytes...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(bodyLen))
+	out = binary.LittleEndian.AppendUint64(out, env.Steps)
+	out = append(out, env.Digest[:]...)
+	out = append(out, env.ScenarioKey...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
 }
 
 // Decode parses and verifies an envelope. It checks, in order: size
-// bounds, magic, version, declared body length, checksum, and strict
-// body decoding with no trailing bytes at either layer.
+// bounds, magic, version, declared body length (no trailing bytes),
+// checksum, and that the body holds the step count and digest.
 func Decode(data []byte) (*Envelope, error) {
 	if len(data) > MaxSnapshotBytes {
 		return nil, fmt.Errorf("snapshot: envelope of %d bytes exceeds limit %d", len(data), MaxSnapshotBytes)
@@ -143,59 +145,61 @@ func Decode(data []byte) (*Envelope, error) {
 		return nil, ErrChecksum
 	}
 
-	dec := snapbuf.NewDecoder(data[headerLen:payloadEnd])
-	env := &Envelope{}
-	env.ScenarioKey = dec.String()
-	env.SimTime = dec.Float64()
-	engLen := dec.Uint64()
-	if dec.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, dec.Err())
+	body := data[headerLen:payloadEnd]
+	if len(body) < fixedBody {
+		return nil, fmt.Errorf("%w: body of %d bytes has no step count and digest", ErrTruncated, len(body))
 	}
-	if engLen > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("%w: engine state of %d bytes exceeds body", ErrTruncated, engLen)
+	env := &Envelope{
+		Steps:       binary.LittleEndian.Uint64(body),
+		ScenarioKey: string(body[fixedBody:]),
 	}
-	env.Engine = dec.Bytes(int(engLen))
-	hasAudit := dec.Bool()
-	if dec.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, dec.Err())
-	}
-	if hasAudit {
-		env.Audit = dec.Bytes(dec.Remaining())
-	}
-	if err := dec.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTrailingData, err)
-	}
+	copy(env.Digest[:], body[8:fixedBody])
 	return env, nil
 }
 
-// Capture snapshots a running engine (and its auditor, if any) into a
-// framed envelope bound to scenarioKey. The engine must be between
-// Step calls; Capture does not advance it.
+// Capture records a running engine's replay point — its step count
+// and observables digest — in a framed envelope bound to scenarioKey.
+// The engine must be between Step calls; Capture does not advance it.
+// aud, the run's auditor if any, needs no capture of its own: Restore
+// replays the prefix through the restoring config's observers. The
+// parameter keeps call sites symmetric with Restore; the error is
+// always nil.
 func Capture(scenarioKey string, e *sim.Engine, aud *audit.Auditor) ([]byte, error) {
-	engState, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	env := &Envelope{ScenarioKey: scenarioKey, SimTime: e.Now(), Engine: engState}
-	if aud != nil {
-		enc := snapbuf.NewEncoder()
-		aud.SnapshotState(enc)
-		env.Audit = enc.Bytes()
-	}
-	return Encode(env), nil
+	return Encode(&Envelope{ScenarioKey: scenarioKey, Steps: e.Steps(), Digest: e.Digest()}), nil
 }
 
 // Restore decodes data, verifies it was captured from scenarioKey,
-// and rebuilds the engine (and auditor, when aud is non-nil) to the
-// checkpointed state. cfg must be rebuilt from the same simulation
-// request that produced scenarioKey — including cfg.Observer pointing
-// at aud if the original run was audited.
+// and rebuilds the engine by running sim.NewEngine(cfg) forward the
+// recorded number of Steps. cfg must be rebuilt from the same
+// simulation request that produced scenarioKey. Its observers see the
+// replayed prefix, so an auditor (aud, which must then be attached
+// through cfg.Observer) still checks the whole run and a flight
+// recorder records the prefix.
 //
-// On any error the returned engine is nil and aud is unmodified
-// (auditor state commits only after its full payload validates). A
-// nil-error return means the engine will replay the remainder of the
-// run bit-identically to the run the snapshot was taken from.
+// On error the returned engine is nil. Decode and key failures leave
+// aud untouched; a divergence found during replay (ErrDiverged)
+// leaves it mid-run, and the caller must discard it. A nil-error
+// return means the engine is in the captured state and will run the
+// remainder bit-identically to the run the snapshot was taken from.
 func Restore(data []byte, scenarioKey string, cfg sim.Config, aud *audit.Auditor) (*sim.Engine, error) {
+	env, err := Open(data, scenarioKey)
+	if err != nil {
+		return nil, err
+	}
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := env.Replay(e, nil); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Open decodes data and verifies it was captured from scenarioKey.
+// It is the part of Restore that needs no engine; Replay does the
+// rest.
+func Open(data []byte, scenarioKey string) (*Envelope, error) {
 	env, err := Decode(data)
 	if err != nil {
 		return nil, err
@@ -204,21 +208,31 @@ func Restore(data []byte, scenarioKey string, cfg sim.Config, aud *audit.Auditor
 		return nil, fmt.Errorf("%w: snapshot is for %.12s…, request is %.12s…",
 			ErrKeyMismatch, env.ScenarioKey, scenarioKey)
 	}
-	if aud != nil && env.Audit == nil {
-		return nil, errors.New("snapshot: request is audited but the snapshot carries no auditor state")
-	}
-	e, err := sim.RestoreEngine(cfg, env.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if aud != nil {
-		dec := snapbuf.NewDecoder(env.Audit)
-		if err := aud.RestoreState(dec); err != nil {
-			return nil, fmt.Errorf("snapshot: auditor restore: %w", err)
+	return env, nil
+}
+
+// Replay steps e, a fresh engine for the request env was captured
+// from, to env's replay point and checks the digest there. stop, when
+// non-nil, is polled at every step boundary short of the replay
+// point; once it reports true Replay returns false with a nil error
+// and leaves e partway, so a caller can give up on a long replay
+// within one step (its checkpoint is then still env). Replay returns
+// true once e is in the captured state, and ErrDiverged when the run
+// ends early or the digest differs.
+func (env *Envelope) Replay(e *sim.Engine, stop func() bool) (bool, error) {
+	for e.Steps() < env.Steps {
+		if stop != nil && stop() {
+			return false, nil
 		}
-		if err := dec.Finish(); err != nil {
-			return nil, fmt.Errorf("snapshot: auditor restore: %w", err)
+		if !e.Step() {
+			break
 		}
 	}
-	return e, nil
+	if e.Steps() != env.Steps {
+		return false, fmt.Errorf("%w: the run ended after %d of %d steps", ErrDiverged, e.Steps(), env.Steps)
+	}
+	if e.Digest() != env.Digest {
+		return false, fmt.Errorf("%w: engine digest differs at step %d", ErrDiverged, env.Steps)
+	}
+	return true, nil
 }

@@ -1,6 +1,8 @@
 package snapshot_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -20,9 +22,12 @@ import (
 // never share mutable state.
 func mkCfg(t *testing.T, ts *rtm.TaskSet, spec string, proc *cpu.Processor, jitterSeed uint64) (sim.Config, *audit.Auditor) {
 	t.Helper()
-	pol, err := policies.New(spec)
-	if err != nil {
-		t.Fatal(err)
+	var pol sim.Policy = bareNonDVS{}
+	if spec != bareSpec {
+		var err error
+		if pol, err = policies.New(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	aud := audit.New(audit.Options{TaskSet: ts, Processor: proc})
 	return sim.Config{
@@ -227,8 +232,9 @@ func captureMidRun(t *testing.T) (data []byte, ts *rtm.TaskSet, key string) {
 
 // TestCorruptionFailsClosed is the fail-closed contract: every class
 // of damage — truncation, bit flips in the payload or checksum, a
-// future format version, bad magic, trailing garbage, a different
-// scenario key — must yield a typed error and no engine.
+// future or retired format version, bad magic, trailing garbage, a
+// replay point the run never reaches, a different scenario key — must
+// yield a typed error and no engine.
 func TestCorruptionFailsClosed(t *testing.T) {
 	data, ts, key := captureMidRun(t)
 	restore := func(b []byte, k string) (*sim.Engine, error) {
@@ -287,6 +293,40 @@ func TestCorruptionFailsClosed(t *testing.T) {
 			t.Fatalf("restore = (%v, %v), want error", e, err)
 		}
 	})
+	// The next three envelopes carry a valid checksum, so the edit
+	// itself, not the integrity check, must make Restore fail.
+	reencode := func(edit func(*snapshot.Envelope)) []byte {
+		env, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(env)
+		return snapshot.Encode(env)
+	}
+	t.Run("steps-past-end", func(t *testing.T) {
+		bad := reencode(func(env *snapshot.Envelope) { env.Steps += 1 << 32 })
+		e, err := restore(bad, key)
+		if !errors.Is(err, snapshot.ErrDiverged) || e != nil {
+			t.Fatalf("restore = (%v, %v), want ErrDiverged", e, err)
+		}
+	})
+	t.Run("flipped-digest-bit", func(t *testing.T) {
+		bad := reencode(func(env *snapshot.Envelope) { env.Digest[7] ^= 0x10 })
+		e, err := restore(bad, key)
+		if !errors.Is(err, snapshot.ErrDiverged) || e != nil {
+			t.Fatalf("restore = (%v, %v), want ErrDiverged", e, err)
+		}
+	})
+	t.Run("version-1", func(t *testing.T) {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(bad[8:16], 1)
+		sum := sha256.Sum256(bad[:len(bad)-sha256.Size])
+		copy(bad[len(bad)-sha256.Size:], sum[:])
+		e, err := restore(bad, key)
+		if !errors.Is(err, snapshot.ErrVersion) || e != nil {
+			t.Fatalf("restore = (%v, %v), want ErrVersion", e, err)
+		}
+	})
 	t.Run("wrong-scenario-key", func(t *testing.T) {
 		e, err := restore(data, "a-different-scenario")
 		if !errors.Is(err, snapshot.ErrKeyMismatch) || e != nil {
@@ -294,8 +334,8 @@ func TestCorruptionFailsClosed(t *testing.T) {
 		}
 	})
 	t.Run("wrong-policy-config", func(t *testing.T) {
-		// Same key string, different policy: the engine-level decode
-		// must reject the payload (field walk mismatch), never adopt it.
+		// Same key string, different policy: the replay reaches a
+		// different state, so the digest check must reject it.
 		cfg, aud := mkCfg(t, ts, "cc", cpu.Continuous(0.1), 0)
 		e, err := snapshot.Restore(data, key, cfg, aud)
 		if err == nil || e != nil {
@@ -321,24 +361,59 @@ func TestRestoreErrorLeavesAuditorUntouched(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsNonSnapshotPolicy covers sim.ErrNoSnapshot.
-func TestSnapshotRejectsNonSnapshotPolicy(t *testing.T) {
-	ts, err := rtm.Generate(rtm.DefaultGenConfig(3, 0.5, 9))
+// TestReplayStops pins the early exit a pausable caller relies on:
+// Replay polls stop at every boundary short of the replay point,
+// returns at the first true without an error, and a later Replay of
+// the same engine picks up where it stopped.
+func TestReplayStops(t *testing.T) {
+	data, ts, key := captureMidRun(t)
+	env, err := snapshot.Open(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg, _ := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
-	cfg.Policy = bareNonDVS{}
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Snapshot(); !errors.Is(err, sim.ErrNoSnapshot) {
-		t.Fatalf("Snapshot = %v, want ErrNoSnapshot", err)
+	polls := 0
+	reached, err := env.Replay(e, func() bool { polls++; return polls == 10 })
+	if reached || err != nil || e.Steps() != 9 {
+		t.Fatalf("stopped replay = (%v, %v) at step %d, want (false, nil) at step 9", reached, err, e.Steps())
+	}
+	if reached, err := env.Replay(e, nil); !reached || err != nil || e.Steps() != env.Steps {
+		t.Fatalf("continued replay = (%v, %v) at step %d, want (true, nil) at step %d", reached, err, e.Steps(), env.Steps)
 	}
 }
 
-// bareNonDVS is a policy that does not implement StateSnapshotter.
+// TestRoundTripPolicyWithoutCodec checkpoints a policy that knows
+// nothing about snapshots, mid-run and after the natural end: replay
+// needs no per-policy state codec.
+func TestRoundTripPolicyWithoutCodec(t *testing.T) {
+	ts, err := rtm.Generate(rtm.DefaultGenConfig(3, 0.5, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := cpu.Continuous(0.1)
+	cfg, _ := mkCfg(t, ts, bareSpec, proc, 0)
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for e.Step() {
+		total++
+	}
+	for _, stopAt := range []int{total / 2, total + 1} {
+		checkRoundTrip(t, ts, bareSpec, proc, 0, stopAt)
+	}
+}
+
+// bareSpec selects bareNonDVS in mkCfg; it is not a registered spec.
+const bareSpec = "bare"
+
+// bareNonDVS is a test-local policy with no checkpoint support of its
+// own.
 type bareNonDVS struct{}
 
 func (bareNonDVS) Name() string                      { return "bare" }
