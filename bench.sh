@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench.sh — run the hot-path benchmarks and record the results as
-# BENCH_<date>.json, the repo's perf trajectory artifact.
+# BENCH_<date>-<commit>.json, the repo's perf trajectory artifact.
 #
 # Covered benchmarks:
 #   BenchmarkPolicies        one-hyperperiod engine throughput per policy
@@ -20,19 +20,22 @@
 #   ./bench.sh -gate          # additionally FAIL on >20% ns/op
 #                             # regression of AnalyzerSlack,
 #                             # EngineDecision[Flight], SnapshotCapture
-#                             # or SnapshotReplay vs the most recent
+#                             # or SnapshotReplay vs the most recently
 #                             # committed BENCH_*.json (CI guard)
 #   BENCH_OUT=custom.json ./bench.sh
 #   BENCH_RAW=raw.txt ./bench.sh   # also keep the raw 'go test' output
 #                                  # (benchstat-compatible)
 #
 # After recording, the fresh results are diffed against the most
-# recent committed BENCH_*.json and per-benchmark ns/op deltas are
-# printed, so every run shows the perf trajectory at a glance.
+# recently committed BENCH_*.json (by commit time, never the file
+# being written) and per-benchmark ns/op deltas are printed, so every
+# run shows the perf trajectory at a glance. The commit in the name
+# keeps runs of one day from overwriting each other.
 #
 # The JSON records ns/op, B/op, allocs/op, and any custom metrics per
-# benchmark, plus the toolchain and commit, so two files from
-# different dates diff meaningfully. See docs/performance.md for how
+# benchmark, plus the toolchain, commit, CPU count (nproc) and
+# GOMAXPROCS, so two files from different dates or machines diff
+# meaningfully. See docs/performance.md for how
 # to compare two BENCH_*.json files (or two raw outputs with
 # benchstat).
 set -eu
@@ -45,7 +48,8 @@ if [ "${1:-}" = "-gate" ]; then
 fi
 
 date_tag=$(date +%Y-%m-%d)
-out=${BENCH_OUT:-BENCH_${date_tag}.json}
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+out=${BENCH_OUT:-BENCH_${date_tag}-${commit}.json}
 raw=${BENCH_RAW:-}
 if [ -z "$raw" ]; then
     raw=$(mktemp)
@@ -57,11 +61,16 @@ echo "bench.sh: running $pattern (this takes a minute)..." >&2
 go test -run '^$' -bench "$pattern" -benchmem "$@" . | tee "$raw" >&2
 
 go_version=$(go env GOVERSION)
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+# go test names each result Benchmark<Name>-<GOMAXPROCS>, and leaves
+# the suffix off when GOMAXPROCS is 1.
+procs=$(sed -n 's/^Benchmark[^ ]*-\([0-9][0-9]*\)[[:space:]].*/\1/p' "$raw" | head -n 1)
 
-awk -v date="$date_tag" -v gover="$go_version" -v commit="$commit" '
+awk -v date="$date_tag" -v gover="$go_version" -v commit="$commit" \
+    -v ncpu="$ncpu" -v procs="${procs:-1}" '
 BEGIN {
     printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"commit\": \"%s\",\n", date, gover, commit
+    printf "  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n", ncpu, procs
     printf "  \"results\": [\n"
     n = 0
 }
@@ -94,11 +103,14 @@ if [ "$count" -eq 0 ]; then
 fi
 echo "bench.sh: wrote $out ($count benchmarks)" >&2
 
-# Delta report vs the most recent committed BENCH file (ignoring the
-# file just written and any uncommitted ones): per-benchmark ns/op
-# change, and with -gate a hard failure on >20% regression of the
-# gated benchmarks.
-prev=$(git ls-files 'BENCH_*.json' 2>/dev/null | grep -vx "$out" | sort | tail -n 1 || true)
+# Delta report vs the most recently committed BENCH file (ignoring
+# the file just written and any uncommitted ones; ties in commit time
+# go to the later name): per-benchmark ns/op change, and with -gate a
+# hard failure on >20% regression of the gated benchmarks.
+prev=$(git ls-files 'BENCH_*.json' 2>/dev/null | grep -vxF "$out" |
+    while read -r f; do
+        printf '%s %s\n' "$(git log -1 --format=%ct -- "$f")" "$f"
+    done | sort -k1,1n -k2 | tail -n 1 | cut -d' ' -f2- || true)
 if [ -z "$prev" ] || [ ! -f "$prev" ]; then
     echo "bench.sh: no committed BENCH_*.json to compare against" >&2
     exit 0

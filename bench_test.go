@@ -161,9 +161,9 @@ func BenchmarkEngineLpSHE(b *testing.B) {
 // BenchmarkPolicies measures one-hyperperiod engine throughput for
 // every registered policy on an identical configuration, one
 // sub-benchmark per policy. bench.sh runs exactly this benchmark and
-// records the per-policy ns/op in BENCH_<date>.json, so the relative
-// cost of each policy's scheduling decisions is tracked release over
-// release.
+// records the per-policy ns/op in BENCH_<date>-<commit>.json, so the
+// relative cost of each policy's scheduling decisions is tracked
+// release over release.
 func BenchmarkPolicies(b *testing.B) {
 	ts := rtm.MustGenerate(rtm.DefaultGenConfig(8, 0.7, 1))
 	gen := workload.Uniform{Lo: 0.5, Hi: 1, Seed: 1}
@@ -192,9 +192,9 @@ func BenchmarkPolicies(b *testing.B) {
 
 // BenchmarkAnalyzerSlack measures a single slack-analysis invocation
 // on a mid-size state (the per-scheduling-point cost reported in T3).
-// bench.sh records its ns/op and allocs/op in BENCH_<date>.json; the
-// allocs/op figure is pinned to zero by the regression tests in
-// internal/core.
+// bench.sh records its ns/op and allocs/op in
+// BENCH_<date>-<commit>.json; the allocs/op figure is pinned to zero
+// by the regression tests in internal/core.
 func BenchmarkAnalyzerSlack(b *testing.B) {
 	ts := rtm.MustGenerate(rtm.DefaultGenConfig(16, 0.8, 2))
 	an := core.NewAnalyzer(ts)

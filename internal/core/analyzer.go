@@ -217,9 +217,17 @@ type Analyzer struct {
 
 	// Per-call provenance for the flight recorder: how the most
 	// recent Analyze terminated. Valid until the next Analyze call.
+	// lastCal records whether it walked the deadline calendar.
 	lastScan  int
 	lastCert  bool
 	lastTrunc bool
+	lastCal   bool
+
+	// certify's grid-boundary cursor (see slotsPast): the window of
+	// the previous scan point and its first slot past it, reset by
+	// every Analyze call.
+	certQ   float64
+	certIdx int
 }
 
 // phantom is synthetic demand used by the no-reclaim ablation: the
@@ -778,8 +786,9 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 	// (NextReleaseOf = "right now") is off-grid and disables the
 	// certificate for this call only.
 	streams := a.streams
-	maxFirstDeadline := t
+	maxFirstDeadline, minFirstDeadline := t, math.Inf(1)
 	useCert := a.grid != nil && !a.fullRescan && a.maxScan == DefaultMaxScan
+	useCal := useCert && a.grid.calPos != nil
 	for i, task := range a.ts.Tasks {
 		r := nextReleaseOf(i)
 		nd := r + task.RelDeadline()
@@ -791,13 +800,27 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		if nd > maxFirstDeadline {
 			maxFirstDeadline = nd
 		}
+		if nd < minFirstDeadline {
+			minFirstDeadline = nd
+		}
 		if useCert {
 			k := math.Round(r / task.Period)
-			if math.Abs(r-k*task.Period) > 1e-9*(1+r) {
+			if kp := k * task.Period; math.Abs(r-kp) > 1e-9*(1+r) {
 				useCert = false
+			} else if r != kp {
+				useCal = false
 			}
 		}
 	}
+	// The calendar walk (see demandGrid.calPos) replaces the n-way
+	// stream merge when every stream sits exactly on its k·Period
+	// release grid and the scan stays within exact integer range: the
+	// streams' deadlines are then precisely the calendar entries at or
+	// past each stream's first deadline, and folding the entries of one
+	// position in task order adds the same terms in the same order.
+	useCal = useCal && useCert && maxFirstDeadline+2*a.grid.hyper < calExactLimit
+	a.lastCal = useCal
+	a.certQ = math.NaN()
 
 	// Periodicity cutoff d* (see package comment): beyond
 	// maxFirstDeadline + H the slack function only repeats shifted
@@ -851,15 +874,31 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		a.stairD = a.stairD[:0]
 		a.stairC = a.stairC[:0]
 	}
+	var cal calCursor
+	if useCal {
+		cal = a.grid.cursorAt(minFirstDeadline)
+	}
 	for {
 		// Next candidate deadline across active entries and streams.
 		d := math.Inf(1)
 		if ai < len(entries) {
 			d = entries[ai].deadline
 		}
-		for _, s := range streams {
-			if s.nextDeadline < d {
-				d = s.nextDeadline
+		if useCal {
+			// Entries before a stream's first deadline belong to jobs
+			// already released (or skipped by an activity window):
+			// they are no candidates.
+			for cal.d < streams[cal.task[cal.j]].nextDeadline {
+				cal.next()
+			}
+			if cal.d < d {
+				d = cal.d
+			}
+		} else {
+			for _, s := range streams {
+				if s.nextDeadline < d {
+					d = s.nextDeadline
+				}
 			}
 		}
 		if math.IsInf(d, 1) || d > horizon+sim.Eps {
@@ -870,10 +909,18 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 			h += entries[ai].rem
 			ai++
 		}
-		for i := range streams {
-			for streams[i].nextDeadline <= d {
-				h += streams[i].wcet
-				streams[i].nextDeadline += streams[i].period
+		if useCal {
+			for ; cal.d <= d; cal.next() {
+				if i := cal.task[cal.j]; cal.d >= streams[i].nextDeadline {
+					h += streams[i].wcet
+				}
+			}
+		} else {
+			for i := range streams {
+				for streams[i].nextDeadline <= d {
+					h += streams[i].wcet
+					streams[i].nextDeadline += streams[i].period
+				}
 			}
 		}
 		scanCnt++
@@ -1011,7 +1058,7 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 			slop := a.certSlop + 1e-12*math.Abs(t)
 			q0 := math.Floor(dLast / g.hyper)
 			rho0 := dLast - q0*g.hyper
-			idx0 := g.pastIndex(rho0, slop)
+			idx0 := a.slotsPast(q0, rho0, slop)
 			var cumBefore float64
 			if idx0 > 0 {
 				cumBefore = g.cum[idx0-1]
@@ -1148,7 +1195,7 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	slop := a.certSlop + 1e-12*math.Abs(t)
 	q := math.Floor(dP / g.hyper)
 	rho := dP - q*g.hyper
-	idx := g.pastIndex(rho, slop)
+	idx := a.slotsPast(q, rho, slop)
 	var cumBefore float64
 	if idx > 0 {
 		cumBefore = g.cum[idx-1]
@@ -1183,6 +1230,24 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	// Sharper below-clamp clause, valid once all entries are folded:
 	// anchored at the grid slots instead of the worst-case envelope.
 	return runf == 0 && g.maxFU+h-cumBefore+g.util*(t-q*g.hyper) <= -slop
+}
+
+// slotsPast returns g.pastIndex(rho, slop) for the scan point q·H + rho
+// from a cursor that only moves forward within one Analyze call: the
+// scan points of a call only grow and slop is fixed per call, so within
+// one window the answer can only advance. A new window (rare: once per
+// hyperperiod scanned) repositions the cursor by binary search.
+func (a *Analyzer) slotsPast(q, rho, slop float64) int {
+	g := a.grid
+	if q != a.certQ {
+		a.certQ, a.certIdx = q, g.pastIndex(rho, slop)
+		return a.certIdx
+	}
+	idx := a.certIdx
+	for lim := rho - slop; idx < len(g.pos) && g.pos[idx] <= lim; idx++ {
+	}
+	a.certIdx = idx
+	return idx
 }
 
 func (a *Analyzer) dropExpiredPhantoms(t float64) {

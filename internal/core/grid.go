@@ -55,6 +55,18 @@ type demandGrid struct {
 	// uses this value so the per-hyperperiod drift term r·(total −
 	// util·hyper) cancels to an ulp, which the slop margin absorbs.
 	util float64
+
+	// The deadline calendar: every (position, task) pair of one
+	// hyperperiod, sorted by position and then by task index —
+	// calPos[k] is the offset in (0, H], calTask[k] the task due
+	// there. Built only when every period and relative deadline is an
+	// integer, so that window bases plus offsets reproduce the linear
+	// merge's accumulated stream deadlines bit for bit; nil otherwise.
+	// Analyze walks it with a cursor instead of merging the n release
+	// streams at every scanned deadline, when the call-time streams
+	// line up with it exactly (see Analyze).
+	calPos  []float64
+	calTask []int32
 }
 
 // maxGridPoints caps the grid size. Beyond it the build cost would
@@ -182,6 +194,13 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 	}
 	g.pos = make([]float64, 0, m)
 	g.cum = make([]float64, 0, m)
+	exact := integerStreams(a.ts.Tasks, h)
+	if exact {
+		// m counts one entry per task per deadline residue: exactly
+		// the calendar's size.
+		g.calPos = make([]float64, 0, m)
+		g.calTask = make([]int32, 0, m)
+	}
 	var c float64
 	end := h + 1e-9*(1+h)
 	for {
@@ -198,6 +217,10 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 			if heads[i] == d {
 				c += a.ts.Tasks[i].WCET
 				heads[i] += a.ts.Tasks[i].Period
+				if exact {
+					g.calPos = append(g.calPos, d)
+					g.calTask = append(g.calTask, int32(i))
+				}
 			}
 		}
 		g.pos = append(g.pos, d)
@@ -238,6 +261,78 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 	}
 	g.dev = maxF - minF
 	return g
+}
+
+// calExactLimit bounds the magnitudes the calendar walk may touch:
+// below 2^53 every integer is a float64, so integer window bases,
+// offsets and their sums are exact.
+const calExactLimit = 1 << 53
+
+// integerStreams reports whether the release streams of tasks land on
+// integers that a calendar over hyperperiod h reproduces exactly: every
+// period and relative deadline an integer, h an integer multiple of
+// every period, all below calExactLimit.
+func integerStreams(tasks []rtm.Task, h float64) bool {
+	if h != math.Trunc(h) || h >= calExactLimit {
+		return false
+	}
+	for _, t := range tasks {
+		d := t.RelDeadline()
+		if t.Period != math.Trunc(t.Period) || d != math.Trunc(d) ||
+			d >= calExactLimit || math.Mod(h, t.Period) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// calCursor walks the deadline calendar across hyperperiod windows:
+// entry j of the window starting at base, whose absolute deadline is d.
+type calCursor struct {
+	pos   []float64
+	task  []int32
+	hyper float64
+	j     int
+	base  float64
+	d     float64
+}
+
+// next steps the cursor to the following entry, wrapping into the
+// next window after the last one.
+func (c *calCursor) next() {
+	c.j++
+	if c.j == len(c.pos) {
+		c.j = 0
+		c.base += c.hyper
+	}
+	c.d = c.base + c.pos[c.j]
+}
+
+// cursorAt returns a calendar cursor on the first entry at or after
+// the absolute deadline x. Offsets lie in (0, H], so a deadline on a
+// window boundary is the previous window's last offset.
+func (g *demandGrid) cursorAt(x float64) calCursor {
+	q := math.Floor(x / g.hyper)
+	rho := x - q*g.hyper
+	if rho == 0 {
+		q--
+		rho = g.hyper
+	}
+	lo, hi := 0, len(g.calPos)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if g.calPos[mid] < rho {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c := calCursor{pos: g.calPos, task: g.calTask, hyper: g.hyper, j: lo, base: q * g.hyper}
+	if lo == len(g.calPos) {
+		c.j, c.base = 0, c.base+g.hyper
+	}
+	c.d = c.base + c.pos[c.j]
+	return c
 }
 
 // pastIndex returns the number of grid positions ≤ rho−eps: positions

@@ -2,7 +2,7 @@ package dvs
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dvsslack/internal/sim"
 )
@@ -37,11 +37,20 @@ import (
 // removes.
 type LAEDF struct {
 	sim.NopHooks
-	sys sim.System
+	sys  sim.System
+	util float64 // ΣCᵢ/Tᵢ
 
-	// per-task dynamic state
-	cLeft    []float64 // remaining WCET of the current job (0 after completion)
-	deadline []float64 // absolute deadline of the current job
+	// tasks holds each task's plan term: c is the remaining WCET of
+	// its current job (0 after completion), d that job's absolute
+	// deadline, u = Cᵢ/Tᵢ. plan is SelectSpeed's scratch, reused
+	// across decisions so that a decision allocates nothing.
+	tasks []laEntry
+	plan  []laEntry
+}
+
+// laEntry is one task's term of the deferral plan.
+type laEntry struct {
+	c, d, u float64
 }
 
 // Name implements sim.Policy.
@@ -50,21 +59,22 @@ func (*LAEDF) Name() string { return "laEDF" }
 // Reset implements sim.Policy.
 func (p *LAEDF) Reset(sys sim.System) {
 	p.sys = sys
-	n := sys.TaskSet().N()
-	p.cLeft = make([]float64, n)
-	p.deadline = make([]float64, n)
-	for i, t := range sys.TaskSet().Tasks {
+	ts := sys.TaskSet()
+	n := ts.N()
+	buf := make([]laEntry, 2*n)
+	p.tasks, p.plan = buf[:n:n], buf[n:n]
+	p.util = ts.Utilization()
+	for i, t := range ts.Tasks {
 		// Before the first release the "current job" is the one
 		// about to arrive at its first release.
-		p.cLeft[i] = 0
-		p.deadline[i] = sys.NextReleaseOf(i) + t.RelDeadline()
+		p.tasks[i] = laEntry{c: 0, d: sys.NextReleaseOf(i) + t.RelDeadline(), u: t.Utilization()}
 	}
 }
 
 // OnRelease implements sim.Policy.
 func (p *LAEDF) OnRelease(j *sim.JobState) {
-	p.cLeft[j.TaskIndex] = j.WCET
-	p.deadline[j.TaskIndex] = j.AbsDeadline
+	p.tasks[j.TaskIndex].c = j.WCET
+	p.tasks[j.TaskIndex].d = j.AbsDeadline
 }
 
 // OnComplete implements sim.Policy. The completed job's deadline is
@@ -73,7 +83,7 @@ func (p *LAEDF) OnRelease(j *sim.JobState) {
 // the task's U subtraction forward in the defer loop and let the
 // other tasks over-defer.
 func (p *LAEDF) OnComplete(j *sim.JobState) {
-	p.cLeft[j.TaskIndex] = 0
+	p.tasks[j.TaskIndex].c = 0
 }
 
 // OnAdvance implements sim.Policy: execution progress is pulled from
@@ -81,23 +91,18 @@ func (p *LAEDF) OnComplete(j *sim.JobState) {
 
 // SelectSpeed implements sim.Policy.
 func (p *LAEDF) SelectSpeed(*sim.JobState) float64 {
-	ts := p.sys.TaskSet()
 	now := p.sys.Now()
 
 	// Refresh remaining work from the live job states: preemptions
 	// mean a job may have partially executed since its release hook.
 	for _, job := range p.sys.ActiveJobs() {
-		p.cLeft[job.TaskIndex] = job.RemainingWCET()
-		p.deadline[job.TaskIndex] = job.AbsDeadline
+		p.tasks[job.TaskIndex].c = job.RemainingWCET()
+		p.tasks[job.TaskIndex].d = job.AbsDeadline
 	}
 
-	type entry struct {
-		c, d, u float64
-	}
-	entries := make([]entry, 0, ts.N())
+	entries := p.plan[:0]
 	dn := math.Inf(1)
-	for i, t := range ts.Tasks {
-		e := entry{c: p.cLeft[i], d: p.deadline[i], u: t.Utilization()}
+	for _, e := range p.tasks {
 		if e.d <= now+sim.Eps {
 			// A completed job's stale deadline: its work is done and
 			// its window has passed; it contributes nothing and must
@@ -113,9 +118,13 @@ func (p *LAEDF) SelectSpeed(*sim.JobState) float64 {
 	if math.IsInf(dn, 1) || !(dn > now) {
 		return 1 // nothing to plan around: stay conservative
 	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].d > entries[b].d })
+	// Latest deadline first. The order of tied deadlines reaches the
+	// speed through the float sums below; slices.SortFunc gives them
+	// pdqsort's fixed order, the one sort.Slice gives too
+	// (TestLAEDFSortMatchesSortSlice).
+	slices.SortFunc(entries, laLater)
 
-	u := ts.Utilization()
+	u := p.util
 	var xTotal float64
 	for _, e := range entries {
 		u -= e.u
@@ -136,4 +145,16 @@ func (p *LAEDF) SelectSpeed(*sim.JobState) float64 {
 		return 0 // engine clamps to the processor floor
 	}
 	return xTotal / (dn - now)
+}
+
+// laLater orders plan entries by deadline, latest first: negative
+// exactly when a.d > b.d, the less function the plan was defined with.
+func laLater(a, b laEntry) int {
+	switch {
+	case a.d > b.d:
+		return -1
+	case a.d < b.d:
+		return 1
+	}
+	return 0
 }

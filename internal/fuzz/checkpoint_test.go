@@ -85,20 +85,17 @@ func checkpointCompare(t *testing.T, label, spec string, mk func() sim.Config) {
 	}
 	rep0 := aud0.Finish(res0)
 
-	cfg1, aud1 := mkRun()
+	cfg1, _ := mkRun()
 	e1, err := sim.NewEngine(cfg1)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", label, spec, err)
 	}
 	for i := 0; i < total/2 && e1.Step(); i++ {
 	}
-	data, err := snapshot.Capture(label, e1, aud1)
-	if err != nil {
-		t.Fatalf("%s/%s: capture: %v", label, spec, err)
-	}
+	data := snapshot.Capture(label, e1)
 
 	cfg2, aud2 := mkRun()
-	e2, err := snapshot.Restore(data, label, cfg2, aud2)
+	e2, err := snapshot.Restore(data, label, cfg2)
 	if err != nil {
 		t.Fatalf("%s/%s: restore: %v", label, spec, err)
 	}

@@ -98,7 +98,7 @@ func checkpointCompareDoc(t *testing.T, doc *Document, spec string) {
 	res0, err0 := e0.Finish()
 	rep0 := aud0.Finish(res0)
 
-	cfg1, aud1 := mkRun()
+	cfg1, _ := mkRun()
 	e1, err := sim.NewEngine(cfg1)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
@@ -106,13 +106,10 @@ func checkpointCompareDoc(t *testing.T, doc *Document, spec string) {
 	for i := 0; i < total/2 && e1.Step(); i++ {
 	}
 	key := doc.Name + "/" + spec
-	data, err := snapshot.Capture(key, e1, aud1)
-	if err != nil {
-		t.Fatalf("%s: capture: %v", spec, err)
-	}
+	data := snapshot.Capture(key, e1)
 
 	cfg2, aud2 := mkRun()
-	e2, err := snapshot.Restore(data, key, cfg2, aud2)
+	e2, err := snapshot.Restore(data, key, cfg2)
 	if err != nil {
 		t.Fatalf("%s: restore: %v", spec, err)
 	}

@@ -181,10 +181,7 @@ func TestPauseDuringReplay(t *testing.T) {
 			t.Fatal("run finished before the snapshot position; raise longRequest's horizon")
 		}
 	}
-	snap, err := snapshot.Capture(key, e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := snapshot.Capture(key, e)
 
 	type runOut struct {
 		ckpt []byte

@@ -267,16 +267,12 @@ func (p *pool) execute(w *work) outcome {
 			continue
 		}
 		if w.ctl.pause.Load() {
-			data, cerr := snapshot.Capture(w.key, e, aud)
-			w.ctl.settle(data, cerr)
-			if cerr != nil {
-				return outcome{err: cerr}
-			}
+			data := snapshot.Capture(w.key, e)
+			w.ctl.settle(data, nil)
 			return outcome{ckpt: data}
 		}
 		if w.ctl.want.Load() > 0 {
-			data, cerr := snapshot.Capture(w.key, e, aud)
-			w.ctl.answer(data, cerr)
+			w.ctl.answer(snapshot.Capture(w.key, e), nil)
 		}
 	}
 	simRes, err := e.Finish()

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dvsslack/internal/audit"
 	"dvsslack/internal/sim"
 )
 
@@ -160,28 +159,27 @@ func Decode(data []byte) (*Envelope, error) {
 // Capture records a running engine's replay point — its step count
 // and observables digest — in a framed envelope bound to scenarioKey.
 // The engine must be between Step calls; Capture does not advance it.
-// aud, the run's auditor if any, needs no capture of its own: Restore
-// replays the prefix through the restoring config's observers. The
-// parameter keeps call sites symmetric with Restore; the error is
-// always nil.
-func Capture(scenarioKey string, e *sim.Engine, aud *audit.Auditor) ([]byte, error) {
-	return Encode(&Envelope{ScenarioKey: scenarioKey, Steps: e.Steps(), Digest: e.Digest()}), nil
+// The run's observers (an auditor, a flight recorder) need no capture
+// of their own: Restore replays the prefix through the restoring
+// config's observers.
+func Capture(scenarioKey string, e *sim.Engine) []byte {
+	return Encode(&Envelope{ScenarioKey: scenarioKey, Steps: e.Steps(), Digest: e.Digest()})
 }
 
 // Restore decodes data, verifies it was captured from scenarioKey,
 // and rebuilds the engine by running sim.NewEngine(cfg) forward the
 // recorded number of Steps. cfg must be rebuilt from the same
 // simulation request that produced scenarioKey. Its observers see the
-// replayed prefix, so an auditor (aud, which must then be attached
-// through cfg.Observer) still checks the whole run and a flight
-// recorder records the prefix.
+// replayed prefix, so an auditor attached through cfg.Observer still
+// checks the whole run and a flight recorder records the prefix.
 //
 // On error the returned engine is nil. Decode and key failures leave
-// aud untouched; a divergence found during replay (ErrDiverged)
-// leaves it mid-run, and the caller must discard it. A nil-error
-// return means the engine is in the captured state and will run the
-// remainder bit-identically to the run the snapshot was taken from.
-func Restore(data []byte, scenarioKey string, cfg sim.Config, aud *audit.Auditor) (*sim.Engine, error) {
+// cfg's observers untouched; a divergence found during replay
+// (ErrDiverged) leaves them mid-run, and the caller must discard
+// them. A nil-error return means the engine is in the captured state
+// and will run the remainder bit-identically to the run the snapshot
+// was taken from.
+func Restore(data []byte, scenarioKey string, cfg sim.Config) (*sim.Engine, error) {
 	env, err := Open(data, scenarioKey)
 	if err != nil {
 		return nil, err

@@ -78,19 +78,16 @@ func checkRoundTrip(t *testing.T, ts *rtm.TaskSet, spec string, proc *cpu.Proces
 	}
 	want, wantRep := finishRun(t, e0, aud0)
 
-	cfg1, aud1 := mkCfg(t, ts, spec, proc, jitterSeed)
+	cfg1, _ := mkCfg(t, ts, spec, proc, jitterSeed)
 	e1, err := sim.NewEngine(cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runSteps(e1, stopAt)
-	data, err := snapshot.Capture(key, e1, aud1)
-	if err != nil {
-		t.Fatalf("capture at step %d: %v", stopAt, err)
-	}
+	data := snapshot.Capture(key, e1)
 
 	cfg2, aud2 := mkCfg(t, ts, spec, proc, jitterSeed)
-	e2, err := snapshot.Restore(data, key, cfg2, aud2)
+	e2, err := snapshot.Restore(data, key, cfg2)
 	if err != nil {
 		t.Fatalf("restore at step %d: %v", stopAt, err)
 	}
@@ -217,17 +214,13 @@ func captureMidRun(t *testing.T) (data []byte, ts *rtm.TaskSet, key string) {
 		t.Fatal(err)
 	}
 	key = "corruption-test-key"
-	cfg, aud := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
+	cfg, _ := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runSteps(e, 25)
-	data, err = snapshot.Capture(key, e, aud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, ts, key
+	return snapshot.Capture(key, e), ts, key
 }
 
 // TestCorruptionFailsClosed is the fail-closed contract: every class
@@ -238,8 +231,8 @@ func captureMidRun(t *testing.T) (data []byte, ts *rtm.TaskSet, key string) {
 func TestCorruptionFailsClosed(t *testing.T) {
 	data, ts, key := captureMidRun(t)
 	restore := func(b []byte, k string) (*sim.Engine, error) {
-		cfg, aud := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
-		return snapshot.Restore(b, k, cfg, aud)
+		cfg, _ := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
+		return snapshot.Restore(b, k, cfg)
 	}
 
 	if _, err := restore(data, key); err != nil {
@@ -336,8 +329,8 @@ func TestCorruptionFailsClosed(t *testing.T) {
 	t.Run("wrong-policy-config", func(t *testing.T) {
 		// Same key string, different policy: the replay reaches a
 		// different state, so the digest check must reject it.
-		cfg, aud := mkCfg(t, ts, "cc", cpu.Continuous(0.1), 0)
-		e, err := snapshot.Restore(data, key, cfg, aud)
+		cfg, _ := mkCfg(t, ts, "cc", cpu.Continuous(0.1), 0)
+		e, err := snapshot.Restore(data, key, cfg)
 		if err == nil || e != nil {
 			t.Fatalf("restore = (%v, %v), want error", e, err)
 		}
@@ -352,7 +345,7 @@ func TestRestoreErrorLeavesAuditorUntouched(t *testing.T) {
 	bad[len(bad)-1] ^= 0x40
 
 	cfg, aud := mkCfg(t, ts, "lpshe", cpu.Continuous(0.1), 0)
-	if _, err := snapshot.Restore(bad, key, cfg, aud); err == nil {
+	if _, err := snapshot.Restore(bad, key, cfg); err == nil {
 		t.Fatal("corrupt restore must fail")
 	}
 	rep := aud.Finish(sim.Result{})
@@ -446,10 +439,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	for i := 0; i < 10 && e.Step(); i++ {
 	}
-	seed, err := snapshot.Capture("fuzz-seed", e, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := snapshot.Capture("fuzz-seed", e)
 	f.Add(seed)
 	f.Add(seed[:24])
 	f.Add([]byte("DVSSNAP\x00"))

@@ -64,11 +64,7 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 	b.ReportAllocs()
 	var size int
 	for i := 0; i < b.N; i++ {
-		data, err := snapshot.Capture("bench", e, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		size = len(data)
+		size = len(snapshot.Capture("bench", e))
 	}
 	b.ReportMetric(float64(size), "snapshot-bytes")
 }
@@ -78,14 +74,11 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 // replayed Steps and the digest check. Restore time is linear in the
 // captured step count by design; ns/step reports the slope.
 func BenchmarkSnapshotReplay(b *testing.B) {
-	data, err := snapshot.Capture("bench", snapshotBenchEngine(b), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := snapshot.Capture("bench", snapshotBenchEngine(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Restore(data, "bench", snapshotBenchConfig(b), nil); err != nil {
+		if _, err := snapshot.Restore(data, "bench", snapshotBenchConfig(b)); err != nil {
 			b.Fatal(err)
 		}
 	}
