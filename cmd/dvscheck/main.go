@@ -1,42 +1,51 @@
 // Command dvscheck audits the simulator: it replays the scenario
-// corpus, fuzzes freshly generated configurations under the
-// internal/audit oracle, replays single reproducer files, and runs
-// the auditor's mutation self-test.
+// corpus, fuzzes freshly generated scenario documents under the
+// internal/audit oracle, replays single documents, and runs the
+// auditor's mutation self-test.
 //
 // Usage:
 //
-//	dvscheck -corpus internal/fuzz/testdata/corpus   # replay the corpus
-//	dvscheck -fuzz 200 -seed 1                       # fuzz 200 configs
-//	dvscheck -fuzz 200 -out /tmp/repro               # + write reproducers
-//	dvscheck -replay repro-overload-min.json         # replay one file
-//	dvscheck -selftest                               # prove the oracle can fail
+//	dvscheck -corpus scenarios                        # replay the corpus
+//	dvscheck -fuzz 200 -seed 1                        # fuzz 200 documents
+//	dvscheck -fuzz 200 -out /tmp/repro                # + write reproducers
+//	dvscheck -replay scenarios/repro-overload-min.yaml  # print one verdict
+//	dvscheck -selftest                                # prove the oracle can fail
 //
 // Modes compose: flags given together run in the order selftest,
 // corpus, replay, fuzz. With no mode flags, dvscheck runs the
-// default corpus (internal/fuzz/testdata/corpus, resolved against
-// the working directory) plus the self-test.
+// default corpus (scenarios, resolved against the working directory)
+// plus the self-test.
 //
-// Exit status is 0 only when every requested check passes: corpus
-// entries reproduce exactly their recorded fingerprints, fuzzing
-// finds no violations, and every self-test mutation is caught.
+// The corpus and reproducers are scenario documents (see
+// docs/scenarios.md); a shrunk reproducer pins its failure with a
+// fingerprint assertion. -replay prints the document's canonical
+// verdict, byte-identical to `dvsscen run -json` of the same file.
+//
+// Exit status is 0 only when every requested check passes: every
+// corpus document passes its assertions, fuzzing finds no violations,
+// and every self-test mutation is caught.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"dvsslack/internal/audit"
 	"dvsslack/internal/fuzz"
 	"dvsslack/internal/obs"
+	"dvsslack/internal/scenario"
 )
 
 // DefaultCorpus is the shipped corpus path, relative to the repo
 // root.
-const DefaultCorpus = "internal/fuzz/testdata/corpus"
+const DefaultCorpus = "scenarios"
 
 // options collects the parsed command line; run consumes it.
 type options struct {
@@ -56,11 +65,11 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.Corpus, "corpus", "", "replay every *.json scenario in this directory")
-	flag.IntVar(&o.Fuzz, "fuzz", 0, "fuzz this many generated configurations")
+	flag.StringVar(&o.Corpus, "corpus", "", "replay every *.yaml scenario document in this directory")
+	flag.IntVar(&o.Fuzz, "fuzz", 0, "fuzz this many generated scenario documents")
 	flag.Uint64Var(&o.Seed, "seed", 1, "fuzzing campaign seed")
-	flag.StringVar(&o.Out, "out", "", "directory for shrunk reproducers of fuzz failures")
-	flag.StringVar(&o.Replay, "replay", "", "replay one reproducer file and print its report")
+	flag.StringVar(&o.Out, "out", "", "directory for shrunk reproducer documents of fuzz failures")
+	flag.StringVar(&o.Replay, "replay", "", "replay one scenario document and print its verdict")
 	flag.BoolVar(&o.SelfTest, "selftest", false, "run the auditor's mutation self-test")
 	flag.BoolVar(&o.JSON, "json", false, "emit machine-readable JSON instead of text")
 	flag.BoolVar(&o.Verbose, "v", false, "report every scenario, not just failures")
@@ -166,46 +175,73 @@ func runSelfTest(o options, w io.Writer) (failures int, err error) {
 }
 
 func runCorpus(o options, w io.Writer) (failures int, err error) {
-	entries, paths, err := fuzz.LoadCorpus(o.Corpus)
+	paths, err := filepath.Glob(filepath.Join(o.Corpus, "*.yaml"))
 	if err != nil {
 		return 0, err
 	}
-	if len(entries) == 0 {
-		return 0, fmt.Errorf("corpus %s has no *.json entries", o.Corpus)
+	if len(paths) == 0 {
+		return 0, fmt.Errorf("corpus %s has no *.yaml scenario documents", o.Corpus)
 	}
-	for i, e := range entries {
-		_, fp, rerr := fuzz.Replay(e)
-		if rerr != nil {
+	for _, path := range paths {
+		v, err := replay(path)
+		if err != nil {
+			return 0, err
+		}
+		if !v.Ok {
 			failures++
-			fmt.Fprintf(w, "corpus FAIL %s: %v\n", paths[i], rerr)
+			fmt.Fprintf(w, "corpus FAIL %s: %s\n", path, failedAssertions(v))
 			continue
 		}
 		if o.Verbose {
-			fmt.Fprintf(w, "corpus ok   %s (fingerprint %v)\n", paths[i], fp)
+			fmt.Fprintf(w, "corpus ok   %s (fingerprint %v)\n", path, v.Fingerprint())
 		}
 	}
-	fmt.Fprintf(w, "corpus: %d/%d entries reproduced\n", len(entries)-failures, len(entries))
+	fmt.Fprintf(w, "corpus: %d/%d documents passed\n", len(paths)-failures, len(paths))
 	return failures, nil
 }
 
 func runReplay(o options, w io.Writer) (failures int, err error) {
-	e, err := fuzz.LoadEntry(o.Replay)
+	v, err := replay(o.Replay)
 	if err != nil {
 		return 0, err
 	}
-	res, _, rerr := fuzz.Replay(e)
-	b, err := fuzz.ReportJSON(res)
-	if err != nil {
+	if _, err := w.Write(v.JSON()); err != nil {
 		return 0, err
 	}
-	if _, err := w.Write(b); err != nil {
-		return 0, err
-	}
-	if rerr != nil {
-		fmt.Fprintf(w, "replay FAIL %s: %v\n", o.Replay, rerr)
+	if !v.Ok {
+		fmt.Fprintf(w, "replay FAIL %s: %s\n", o.Replay, failedAssertions(v))
 		return 1, nil
 	}
 	return 0, nil
+}
+
+// replay parses and executes one scenario document. A document that
+// does not validate is a harness error listing every problem.
+func replay(path string) (*scenario.Verdict, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	doc, errs := scenario.Parse(path, data)
+	if len(errs) > 0 {
+		msgs := make([]string, len(errs))
+		for i, e := range errs {
+			msgs[i] = e.Error()
+		}
+		return nil, fmt.Errorf("invalid scenario document:\n%s", strings.Join(msgs, "\n"))
+	}
+	return scenario.Execute(context.Background(), doc)
+}
+
+// failedAssertions summarizes why a verdict is not ok.
+func failedAssertions(v *scenario.Verdict) string {
+	var parts []string
+	for _, a := range v.Assertions {
+		if !a.Ok {
+			parts = append(parts, a.Kind+": "+a.Detail)
+		}
+	}
+	return strings.Join(parts, "; ")
 }
 
 func runFuzz(o options, stdout, stderr io.Writer) (failures int, err error) {

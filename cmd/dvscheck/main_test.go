@@ -2,19 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"dvsslack/internal/fuzz"
-	"dvsslack/internal/rtm"
-	"dvsslack/internal/server"
+	"dvsslack/internal/scenario"
 )
 
 // corpusDir resolves the shipped corpus relative to this package's
 // source directory (tests run with the package dir as cwd).
-const corpusDir = "../../internal/fuzz/testdata/corpus"
+const corpusDir = "../../scenarios"
 
 func TestCorpusMode(t *testing.T) {
 	var out, errw bytes.Buffer
@@ -22,7 +21,7 @@ func TestCorpusMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corpus replay failed: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "entries reproduced") {
+	if !strings.Contains(out.String(), "documents passed") {
 		t.Errorf("missing summary line in output:\n%s", out.String())
 	}
 }
@@ -48,11 +47,12 @@ func TestFuzzMode(t *testing.T) {
 }
 
 // TestReplayModeByteIdentical replays the same reproducer twice and
-// requires byte-identical reports — the corpus determinism guarantee
-// surfaced at the CLI level.
+// requires byte-identical output that is exactly the document's
+// canonical verdict — what `dvsscen run -json` prints for the file.
 func TestReplayModeByteIdentical(t *testing.T) {
-	path := filepath.Join(corpusDir, "repro-overload-min.json")
-	if _, err := os.Stat(path); err != nil {
+	path := filepath.Join(corpusDir, "repro-overload-min.yaml")
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out1, out2, errw bytes.Buffer
@@ -65,29 +65,38 @@ func TestReplayModeByteIdentical(t *testing.T) {
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Error("replay output differs byte-for-byte across two runs")
 	}
+	doc, errs := scenario.Parse(path, data)
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	v, err := scenario.Execute(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out1.Bytes(), v.JSON()) {
+		t.Errorf("replay output is not the canonical verdict:\n%s", out1.String())
+	}
 	if !strings.Contains(out1.String(), "deadline-miss") {
-		t.Errorf("reproducer report lacks its deadline-miss violations:\n%s", out1.String())
+		t.Errorf("reproducer verdict lacks its deadline-miss violations:\n%s", out1.String())
 	}
 }
 
 // TestReplayMismatchExits checks a reproducer whose fingerprint no
 // longer matches makes the run fail.
 func TestReplayMismatchExits(t *testing.T) {
-	dir := t.TempDir()
-	entry := fuzz.CorpusEntry{
-		Scenario: fuzz.Scenario{
-			Name: "clean",
-			TaskSet: &rtm.TaskSet{Tasks: []rtm.Task{
-				{Name: "T1", WCET: 1, Period: 10},
-			}},
-			Processor: server.ProcessorSpec{SMin: 0.1},
-			Workload:  server.WorkloadSpec{Kind: "worst-case"},
-			Policies:  []string{"lpshe"},
-		},
-		Expect: []string{"lpshe/deadline-miss"}, // wrong: the run is clean
-	}
-	path := filepath.Join(dir, "stale.json")
-	if err := fuzz.WriteEntry(path, entry); err != nil {
+	path := filepath.Join(t.TempDir(), "stale.yaml")
+	stale := `version: 1
+name: clean
+policies: [lpshe]
+tasks:
+  - name: T1
+    wcet: 1
+    period: 10
+assertions:
+  - kind: fingerprint
+    expect: [lpshe/deadline-miss]
+`
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errw bytes.Buffer

@@ -8,16 +8,13 @@
 //	dvsscen run scenarios/surge-overrun.yaml   # execute locally, report the verdict
 //	dvsscen run -json doc.yaml                 # canonical machine-readable verdict
 //	dvsscen run -addr http://host:8080 doc.yaml  # execute on a dvsd or dvsfleet
-//	dvsscen convert entry.json                 # lift a fuzz corpus entry to a scenario
-//	dvsscen convert -format json -out dir entry.json
 //
 // validate exits 2 on usage errors and 1 when any document fails,
 // after printing every validation error (not just the first). run
 // exits 1 when any verdict reports ok=false or a document fails to
 // execute; with -json the verdict's canonical bytes go to stdout —
 // byte-identical to what POST /v1/scenario answers for the same
-// document, so the two can be compared with cmp. convert writes the
-// scenario form of fuzz corpus entries to stdout or -out.
+// document, so the two can be compared with cmp.
 package main
 
 import (
@@ -28,11 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"dvsslack/client"
-	"dvsslack/internal/fuzz"
 	"dvsslack/internal/obs"
 	"dvsslack/internal/scenario"
 	"dvsslack/internal/sim"
@@ -49,8 +43,6 @@ func main() {
 		err = cmdValidate(os.Args[2:], os.Stdout, os.Stderr)
 	case "run":
 		err = cmdRun(os.Args[2:], os.Stdout, os.Stderr)
-	case "convert":
-		err = cmdConvert(os.Args[2:], os.Stdout, os.Stderr)
 	case "help", "-h", "--help":
 		usage(os.Stdout)
 		return
@@ -74,8 +66,6 @@ Subcommands:
   validate <files...>                 check documents, listing every error
   run [-json] [-addr URL] [-explain] <files...>
                                       execute documents and report verdicts
-  convert [-format yaml|json] [-out dir] <entries...>
-                                      lift fuzz corpus entries into scenarios
 
 Run 'dvsscen <subcommand> -h' for flags.
 `)
@@ -277,60 +267,4 @@ func printVerdict(w io.Writer, path string, v *scenario.Verdict) {
 	if v.Chaos != nil {
 		fmt.Fprintf(w, "  chaos seed=%d faults=%v attempts=%v\n", v.Chaos.Seed, v.Chaos.Faults, v.Chaos.Attempts)
 	}
-}
-
-// cmdConvert lifts fuzz corpus entries into scenario documents whose
-// replay reproduces the entry's recorded fingerprint (pinned by the
-// generated fingerprint assertion).
-func cmdConvert(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	format := fs.String("format", "yaml", "output format: yaml or json")
-	outDir := fs.String("out", "", "write one file per entry into this directory instead of stdout")
-	fs.Parse(args)
-	if *format != "yaml" && *format != "json" {
-		return fmt.Errorf("convert: unknown format %q (want yaml or json)", *format)
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("convert: no corpus entries named")
-	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
-		}
-	}
-	for _, path := range fs.Args() {
-		entry, err := fuzz.LoadEntry(path)
-		if err != nil {
-			return err
-		}
-		doc := fuzz.ToScenario(entry)
-		var data []byte
-		ext := ".yaml"
-		if *format == "json" {
-			data = scenario.DocJSON(doc)
-			ext = ".json"
-		} else {
-			data = scenario.MarshalYAML(doc)
-		}
-		// Converted output must itself round-trip the validator; a
-		// failure here is a bug, not a user error.
-		if _, errs := scenario.Parse(path, data); len(errs) > 0 {
-			msgs := make([]string, len(errs))
-			for i, e := range errs {
-				msgs[i] = e.Error()
-			}
-			return fmt.Errorf("convert: %s produced an invalid scenario:\n%s", path, strings.Join(msgs, "\n"))
-		}
-		if *outDir == "" {
-			stdout.Write(data)
-			continue
-		}
-		base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		dst := filepath.Join(*outDir, base+ext)
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s -> %s\n", path, dst)
-	}
-	return nil
 }

@@ -147,41 +147,3 @@ func TestRunRemote(t *testing.T) {
 		t.Fatalf("remote verdict differs from local:\n%s\n---\n%s", remote.Bytes(), local.Bytes())
 	}
 }
-
-// TestConvert lifts the real shipped corpus and replays each
-// conversion to its recorded fingerprint (the generated fingerprint
-// assertion does the checking).
-func TestConvert(t *testing.T) {
-	entries, err := filepath.Glob("../../internal/fuzz/testdata/corpus/*.json")
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no corpus entries found: %v", err)
-	}
-	outDir := t.TempDir()
-	var out, errOut bytes.Buffer
-	if err := cmdConvert(append([]string{"-out", outDir}, entries...), &out, &errOut); err != nil {
-		t.Fatalf("convert: %v\n%s", err, errOut.String())
-	}
-	converted, _ := filepath.Glob(filepath.Join(outDir, "*.yaml"))
-	if len(converted) != len(entries) {
-		t.Fatalf("converted %d of %d entries", len(converted), len(entries))
-	}
-	out.Reset()
-	errOut.Reset()
-	if err := cmdRun(converted, &out, &errOut); err != nil {
-		t.Fatalf("replaying converted corpus: %v\n%s\n%s", err, out.String(), errOut.String())
-	}
-}
-
-func TestConvertJSONFormat(t *testing.T) {
-	entries, _ := filepath.Glob("../../internal/fuzz/testdata/corpus/*.json")
-	if len(entries) == 0 {
-		t.Skip("no corpus entries")
-	}
-	var out, errOut bytes.Buffer
-	if err := cmdConvert([]string{"-format", "json", entries[0]}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if _, errs := scenario.Parse("converted", out.Bytes()); len(errs) > 0 {
-		t.Fatalf("JSON conversion does not validate: %v", errs)
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -99,6 +98,7 @@ type Coordinator struct {
 
 	mux     *http.ServeMux
 	handler http.Handler
+	edge    server.Edge
 
 	draining   atomic.Bool
 	healthCtx  context.Context
@@ -128,22 +128,31 @@ func New(cfg Config) *Coordinator {
 	c.jobs = newFleetJobs(c)
 	c.healthCtx, c.healthStop = context.WithCancel(context.Background())
 	c.healthDone = make(chan struct{})
+	c.edge = server.Edge{
+		Service: "dvsfleet",
+		Tracer:  c.tracer,
+		Log:     c.log,
+		Record: func(label string, ok bool, dur time.Duration, _ bool) {
+			c.met.request(label, ok)
+			c.met.httpDone(label, dur)
+		},
+	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", c.instrument("simulate", c.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", c.instrument("scenario", c.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", c.instrument("jobs.create", c.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", c.instrument("jobs.list", c.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", c.instrument("jobs.get", c.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.instrument("jobs.cancel", c.handleCancelJob))
+	mux.HandleFunc("POST /v1/simulate", c.edge.Instrument("simulate", c.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", c.edge.Instrument("scenario", c.handleScenario))
+	mux.HandleFunc("POST /v1/jobs", c.edge.Instrument("jobs.create", c.handleCreateJob))
+	mux.HandleFunc("GET /v1/jobs", c.edge.Instrument("jobs.list", c.handleListJobs))
+	mux.HandleFunc("GET /v1/jobs/{id}", c.edge.Instrument("jobs.get", c.handleGetJob))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", c.edge.Instrument("jobs.cancel", c.handleCancelJob))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", c.instrument("policies", c.handlePolicies))
-	mux.HandleFunc("GET /v1/cluster", c.instrument("cluster", c.handleCluster))
-	mux.HandleFunc("POST /v1/cluster/cordon", c.instrument("cluster.cordon", c.handleCordon))
-	mux.HandleFunc("POST /v1/cluster/uncordon", c.instrument("cluster.uncordon", c.handleUncordon))
-	mux.HandleFunc("POST /v1/cluster/drain", c.instrument("cluster.drain", c.handleDrain))
+	mux.HandleFunc("GET /v1/policies", c.edge.Instrument("policies", c.handlePolicies))
+	mux.HandleFunc("GET /v1/cluster", c.edge.Instrument("cluster", c.handleCluster))
+	mux.HandleFunc("POST /v1/cluster/cordon", c.edge.Instrument("cluster.cordon", c.handleCordon))
+	mux.HandleFunc("POST /v1/cluster/uncordon", c.edge.Instrument("cluster.uncordon", c.handleUncordon))
+	mux.HandleFunc("POST /v1/cluster/drain", c.edge.Instrument("cluster.drain", c.handleDrain))
 	if cfg.Kill != nil {
-		mux.HandleFunc("POST /v1/cluster/kill", c.instrument("cluster.kill", c.handleKill))
+		mux.HandleFunc("POST /v1/cluster/kill", c.edge.Instrument("cluster.kill", c.handleKill))
 	}
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", c.handleMetricsProm)
@@ -434,15 +443,16 @@ func finishRouteSpan(span *obs.Span, err error) {
 	span.End()
 }
 
-// routeSimulate runs one request against the fleet: the key's owner
-// first, then its ring successors on worker-side failures. Scenario
-// faults (4xx) propagate immediately — re-running a request the
-// worker rejected as invalid on another node cannot succeed.
-func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest, key string) (server.SimResult, error) {
+// route runs one call against the fleet: the key's owner first, then
+// its ring successors on worker-side failures. Request faults (4xx)
+// and the request's own expired deadline propagate immediately —
+// another node cannot answer a request the worker rejected as invalid,
+// nor beat the client's deadline.
+func (c *Coordinator) route(ctx context.Context, key string, call func(context.Context, *worker) error) error {
 	cands := c.candidates(key)
 	if len(cands) == 0 {
 		c.met.proxyErrors.Inc()
-		return server.SimResult{}, ErrNoWorkers
+		return ErrNoWorkers
 	}
 	var lastErr error
 	for i, addr := range cands {
@@ -451,15 +461,15 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 			continue
 		}
 		callCtx, span := c.routeSpan(ctx, addr, i)
-		res, err := w.c.Simulate(callCtx, *req)
+		err := call(callCtx, w)
 		finishRouteSpan(span, err)
 		if err == nil {
 			c.met.routed.With(addr).Inc()
-			return res, nil
+			return nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return server.SimResult{}, err
+			return err
 		}
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
@@ -471,20 +481,21 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 				// overload), leaving ring membership to the checker.
 				c.met.retries.Inc()
 				continue
-			case apiErr.StatusCode == http.StatusServiceUnavailable:
-				// Draining or deadline-exhausted: fail over, and let
-				// the next probe decide whether to evict.
-				c.met.failovers.With(addr).Inc()
-				continue
+			case apiErr.StatusCode == http.StatusServiceUnavailable &&
+				apiErr.Message == server.ErrDeadlineExceeded.Error():
+				// The worker ran out the deadline the client gave
+				// this request: a second worker would too.
+				return err
 			case apiErr.StatusCode >= 500:
-				// Worker-side fault (panic recovery, proxy error):
-				// fail over without eviction — it may be specific to
-				// this request.
+				// Draining, or a worker-side fault (panic recovery,
+				// proxy error): fail over without eviction — the next
+				// probe decides, and the fault may be specific to this
+				// request.
 				c.met.failovers.With(addr).Inc()
 				continue
 			default:
-				// 4xx: the scenario itself is at fault.
-				return server.SimResult{}, err
+				// 4xx: the request itself is at fault.
+				return err
 			}
 		}
 		// Transport error: the worker is unreachable. Evict now so the
@@ -494,132 +505,17 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 		c.met.failovers.With(addr).Inc()
 	}
 	c.met.proxyErrors.Inc()
-	return server.SimResult{}, fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
+	return fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
 }
 
-// routeScenario runs one scenario document against the fleet with the
-// same failover ladder as routeSimulate: owner first, ring successors
-// on worker-side failures, 4xx propagated immediately. The document's
-// canonical key (scenario.DocKey) routes it, so re-submitting the same
-// document lands on the same worker. The worker's verdict bytes pass
-// through untouched — byte-identical to a local run by construction.
-func (c *Coordinator) routeScenario(ctx context.Context, body []byte, key string) ([]byte, error) {
-	cands := c.candidates(key)
-	if len(cands) == 0 {
-		c.met.proxyErrors.Inc()
-		return nil, ErrNoWorkers
-	}
-	var lastErr error
-	for i, addr := range cands {
-		w, ok := c.worker(addr)
-		if !ok {
-			continue
-		}
-		callCtx, span := c.routeSpan(ctx, addr, i)
-		verdict, err := w.c.RunScenario(callCtx, body)
-		finishRouteSpan(span, err)
-		if err == nil {
-			c.met.routed.With(addr).Inc()
-			return verdict, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			switch {
-			case apiErr.StatusCode == http.StatusTooManyRequests:
-				c.met.retries.Inc()
-				continue
-			case apiErr.StatusCode == http.StatusServiceUnavailable,
-				apiErr.StatusCode >= 500:
-				c.met.failovers.With(addr).Inc()
-				continue
-			default:
-				return nil, err
-			}
-		}
-		c.markDownPassive(w, err)
-		c.met.failovers.With(addr).Inc()
-	}
-	c.met.proxyErrors.Inc()
-	return nil, fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
-}
-
-// --- HTTP plumbing (mirrors dvsd's instrument/writeJSON discipline) ---
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrument mirrors dvsd's handler wrapper. A valid client-supplied
-// X-Request-ID is adopted (and forwarded to workers through the
-// request context), so one ID correlates client report, coordinator
-// log, and worker log; otherwise a fresh ID is minted. An inbound
-// traceparent is continued into a coordinator span, and the request
-// context carries both so routed worker calls propagate them.
-func (c *Coordinator) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		span := c.tracer.StartSpan(parent, "dvsfleet."+label) // nil-safe
-		sc := span.Context()
-		if !sc.Valid() {
-			sc = parent
-		}
-		ctx := obs.ContextWithRequestID(r.Context(), id)
-		if sc.Valid() {
-			ctx = obs.ContextWithSpanContext(ctx, sc)
-		}
-		r = r.WithContext(ctx)
-		start := time.Now()
-		h(sw, r)
-		dur := time.Since(start)
-		c.met.request(label, sw.code < 400)
-		c.met.httpDone(label, dur)
-		span.SetAttr("endpoint", label)
-		span.SetAttr("status", strconv.Itoa(sw.code))
-		span.SetAttr("request_id", id)
-		span.End()
-		attrs := []slog.Attr{
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("endpoint", label),
-			slog.Int("status", sw.code),
-			slog.Duration("dur", dur),
-		}
-		if sc.Valid() {
-			attrs = append(attrs, slog.String("trace", sc.TraceID.String()))
-		}
-		c.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, server.ErrorBody{Error: fmt.Sprintf(format, args...)})
+// routeSimulate routes one simulation by its scenario key.
+func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest, key string) (server.SimResult, error) {
+	var res server.SimResult
+	err := c.route(ctx, key, func(ctx context.Context, w *worker) (err error) {
+		res, err = w.c.Simulate(ctx, *req)
+		return err
+	})
+	return res, err
 }
 
 // writeRouteError maps a routing failure onto the dvsd wire protocol,
@@ -632,49 +528,28 @@ func writeRouteError(w http.ResponseWriter, err error) {
 		if apiErr.RetryAfter > 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(int(apiErr.RetryAfter.Seconds())))
 		}
-		writeError(w, apiErr.StatusCode, "%s", apiErr.Message)
+		server.WriteError(w, apiErr.StatusCode, "%s", apiErr.Message)
 	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: request deadline exceeded")
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", server.ErrDeadlineExceeded)
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		server.WriteError(w, http.StatusRequestTimeout, "%v", err)
 	default:
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusBadGateway, "%v", err)
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 	}
 }
-
-const (
-	drainRetryAfter = "5"
-	shedRetryAfter  = "1"
-)
 
 func (c *Coordinator) rejectIfDraining(w http.ResponseWriter) bool {
 	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: draining, not accepting new work")
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "cluster: draining, not accepting new work")
 		return true
 	}
 	return false
-}
-
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid request body: trailing data")
-		return false
-	}
-	io.Copy(io.Discard, body)
-	return true
 }
 
 // --- handlers ---
@@ -687,11 +562,11 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.SimRequest
-	if !c.decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key, err := server.ScenarioKey(&req)
@@ -705,7 +580,7 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleScenario proxies POST /v1/scenario: parse and validate the
@@ -717,24 +592,17 @@ func (c *Coordinator) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if c.rejectIfDraining(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading scenario body: %v", err)
+	doc, body, ok := server.ReadScenario(w, r, c.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	doc, errs := scenario.Parse("scenario", body)
-	if len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		writeJSON(w, http.StatusBadRequest, server.ErrorBody{
-			Error:  fmt.Sprintf("scenario failed validation with %d error(s): %s", len(errs), msgs[0]),
-			Errors: msgs,
-		})
-		return
-	}
-	verdict, err := c.routeScenario(r.Context(), body, scenario.DocKey(doc))
+	// The document's canonical key routes it, so re-submitting the same
+	// document lands on the same worker.
+	var verdict []byte
+	err := c.route(r.Context(), scenario.DocKey(doc), func(ctx context.Context, wk *worker) (err error) {
+		verdict, err = wk.c.RunScenario(ctx, body)
+		return err
+	})
 	if err != nil {
 		writeRouteError(w, err)
 		return
@@ -753,52 +621,34 @@ func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.BatchRequest
-	if !c.decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	runs := req.Runs
-	if req.Sweep != nil {
-		expanded, err := req.Sweep.Expand()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		runs = append(runs, expanded...)
-	}
-	if len(runs) == 0 {
-		writeError(w, http.StatusBadRequest, "cluster: job has no runs")
+	runs, err := req.Expand()
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if len(runs) > server.MaxBatchRuns {
-		writeError(w, http.StatusBadRequest, "cluster: job has %d runs, limit %d", len(runs), server.MaxBatchRuns)
-		return
-	}
-	for i := range runs {
-		if err := runs[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "run %d: %v", i, err)
-			return
-		}
 	}
 	j := c.jobs.Create(req.Name, runs)
-	writeJSON(w, http.StatusAccepted, j.info(false))
+	server.WriteJSON(w, http.StatusAccepted, j.info(false))
 }
 
 func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.jobs.List())
+	server.WriteJSON(w, http.StatusOK, c.jobs.List())
 }
 
 func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.info(r.URL.Query().Get("results") != ""))
+	server.WriteJSON(w, http.StatusOK, j.info(r.URL.Query().Get("results") != ""))
 }
 
 func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	if !c.jobs.Cancel(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -809,7 +659,7 @@ func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
 		c.met.request("jobs.events", false)
 		return
 	}
@@ -824,7 +674,7 @@ func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // workers are built from the same binary's registry, so the answer is
 // authoritative without a proxy hop.
 func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"policies": policies.Names(),
 		"wrappers": []string{"crit", "dual", "guard"},
 	})
@@ -850,18 +700,18 @@ func (c *Coordinator) clusterInfo() ClusterInfo {
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 // workerParam resolves the ?worker=addr query of the admin endpoints.
 func (c *Coordinator) workerParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	addr := r.URL.Query().Get("worker")
 	if addr == "" {
-		writeError(w, http.StatusBadRequest, "cluster: missing worker query parameter")
+		server.WriteError(w, http.StatusBadRequest, "cluster: missing worker query parameter")
 		return "", false
 	}
 	if _, ok := c.worker(addr); !ok {
-		writeError(w, http.StatusNotFound, "cluster: unknown worker %q", addr)
+		server.WriteError(w, http.StatusNotFound, "cluster: unknown worker %q", addr)
 		return "", false
 	}
 	return addr, true
@@ -873,7 +723,7 @@ func (c *Coordinator) handleCordon(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Cordon(addr)
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
@@ -882,7 +732,7 @@ func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Uncordon(addr)
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 func (c *Coordinator) handleKill(w http.ResponseWriter, r *http.Request) {
@@ -891,15 +741,15 @@ func (c *Coordinator) handleKill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.cfg.Kill(addr); err != nil {
-		writeError(w, http.StatusInternalServerError, "cluster: kill %s: %v", addr, err)
+		server.WriteError(w, http.StatusInternalServerError, "cluster: kill %s: %v", addr, err)
 		return
 	}
 	c.log.Warn("cluster: worker killed by request", "worker", addr)
-	writeJSON(w, http.StatusOK, map[string]string{"killed": addr})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"killed": addr})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.met.snapshot(c))
+	server.WriteJSON(w, http.StatusOK, c.met.snapshot(c))
 }
 
 // handleMetricsProm federates the fleet's Prometheus text metrics:
@@ -924,7 +774,7 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter, r *http.Request) 
 	}
 	var buf bytes.Buffer
 	if err := obs.MergeExpositions(&buf, "worker", sources); err != nil {
-		writeError(w, http.StatusInternalServerError, "cluster: merging fleet metrics: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "cluster: merging fleet metrics: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
@@ -950,7 +800,7 @@ type FleetTraceDump struct {
 // collection.
 func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	if c.tracer == nil {
-		writeError(w, http.StatusNotFound, "cluster: tracing disabled (start dvsfleet with -trace-buffer)")
+		server.WriteError(w, http.StatusNotFound, "cluster: tracing disabled (start dvsfleet with -trace-buffer)")
 		return
 	}
 	dump := FleetTraceDump{
@@ -989,16 +839,16 @@ func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 		}
 		return dump.Spans[i].SpanID < dump.Spans[j].SpanID
 	})
-	writeJSON(w, http.StatusOK, dump)
+	server.WriteJSON(w, http.StatusOK, dump)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports readiness: at least one worker in the ring and
@@ -1006,16 +856,16 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // steers traffic away from one whose fleet has collapsed.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if c.ring.Len() == 0 {
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "no ready workers", "workers": c.workerCount(),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

@@ -112,12 +112,12 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	migrated, failed, err := c.DrainWorker(r.Context(), addr, "drain")
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster: drain %s: %v", addr, err)
+		server.WriteError(w, http.StatusBadGateway, "cluster: drain %s: %v", addr, err)
 		return
 	}
 	body := map[string]any{"drained": addr, "migrated": migrated}
 	if failed > 0 {
 		body["failed"] = failed
 	}
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }

@@ -79,8 +79,8 @@
 // activity-window skips only make the real demand smaller), which
 // keeps the certificate sound and the returned values byte-identical
 // to the retained full-rescan path; the differential fuzz tests pin
-// that equivalence across the reproducer corpus, the scenario corpus,
-// and randomized task sets. SetFullRescan(true) disables the
+// that equivalence across the scenario corpus, generated scenario
+// documents, and randomized task sets. SetFullRescan(true) disables the
 // certificate and restores the verbatim pre-grid behavior as the
 // crosscheck oracle.
 package core

@@ -40,7 +40,8 @@ func windowedTaskSet(seed uint64) (*rtm.TaskSet, [][]sim.Window, float64) {
 // checkpointed mid-flight and restored into fresh engine, policy, and
 // auditor instances must finish with bit-identical results and audit
 // reports — including scenarios where violations or deadline misses
-// are the expected outcome (the reproducer corpus).
+// are the expected outcome (the scenarios/ reproducers, which
+// internal/scenario's TestCheckpointScenarios covers).
 
 // checkpointCompare runs mk's config straight through under spec, then
 // re-runs it with a capture/restore at the midpoint, and requires the
@@ -128,28 +129,9 @@ func samplePolicies(specs []string) []string {
 // covering jitter, stalls, discrete levels, leakage, and sleep.
 func TestCheckpointGenerated(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
-		sc := Generate(seed)
-		for _, spec := range samplePolicies(sc.Policies) {
-			checkpointCompare(t, sc.Name, spec, scenarioConfig(t, sc))
-		}
-	}
-}
-
-// TestCheckpointCorpus round-trips every shipped reproducer,
-// including entries whose expected outcome is a failure — the restored
-// run must reproduce the exact same violations.
-func TestCheckpointCorpus(t *testing.T) {
-	entries, _, err := LoadCorpus("testdata/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("empty corpus")
-	}
-	for _, e := range entries {
-		sc := e.Scenario
-		for _, spec := range samplePolicies(sc.Policies) {
-			checkpointCompare(t, sc.Name, spec, scenarioConfig(t, sc))
+		doc := Generate(seed)
+		for _, spec := range samplePolicies(doc.Policies) {
+			checkpointCompare(t, doc.Name, spec, docConfig(t, doc))
 		}
 	}
 }
@@ -159,10 +141,10 @@ func TestCheckpointCorpus(t *testing.T) {
 // windows the original run had already skipped.
 func TestCheckpointActiveWindows(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		sc := Generate(seed)
+		doc := Generate(seed)
 		ts, windows, horizon := windowedTaskSet(seed)
-		checkpointCompare(t, sc.Name+"+windows", "lpshe", func() sim.Config {
-			cfg := scenarioConfig(t, sc)()
+		checkpointCompare(t, doc.Name+"+windows", "lpshe", func() sim.Config {
+			cfg := docConfig(t, doc)()
 			cfg.TaskSet = ts
 			cfg.ActiveWindows = windows
 			cfg.Horizon = horizon

@@ -15,9 +15,9 @@ import (
 
 // The differential pass pins the incremental slack analyzer against
 // the retained full-rescan oracle (lpshe vs lpshe-rescan) across
-// every scenario source the repo has: the shipped fuzz reproducer
-// corpus, every scenarios/ document, generator-derived scenarios, and
-// randomized task sets with arrival/departure windows. In default
+// every scenario source the repo has: every scenarios/ document
+// (reproducers included), generator-derived documents, and randomized
+// task sets with arrival/departure windows. In default
 // (exact) mode the two must agree on every engine observable
 // bit-for-bit — ==, not a tolerance — because the certificate and the
 // fast-path skip are both proven to preserve the readings exactly.
@@ -59,40 +59,36 @@ func diffCompare(t *testing.T, label string, mkCfg func() sim.Config) {
 	}
 }
 
-// scenarioConfig lifts a fuzz Scenario into a runnable sim.Config
-// factory (fresh processor/workload per run, mirroring runPolicy).
-func scenarioConfig(t *testing.T, sc Scenario) func() sim.Config {
-	t.Helper()
-	return func() sim.Config {
-		proc, err := sc.Processor.Build()
-		if err != nil {
-			t.Fatalf("%s: processor: %v", sc.Name, err)
-		}
-		gen, err := sc.Workload.Build()
-		if err != nil {
-			t.Fatalf("%s: workload: %v", sc.Name, err)
-		}
-		return sim.Config{
-			TaskSet:    sc.TaskSet,
-			Processor:  proc,
-			Workload:   gen,
-			JitterSeed: sc.JitterSeed,
-		}
+// docTaskSet builds the task set a document describes, as the
+// scenario executor does.
+func docTaskSet(doc *scenario.Document) *rtm.TaskSet {
+	tasks := make([]rtm.Task, len(doc.Tasks))
+	for i, t := range doc.Tasks {
+		tasks[i] = rtm.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: t.Deadline, Jitter: t.Jitter}
 	}
+	return rtm.NewTaskSet(doc.Name, tasks...)
 }
 
-// TestDifferentialCorpus replays every shipped reproducer under both
-// analyzer modes.
-func TestDifferentialCorpus(t *testing.T) {
-	entries, _, err := LoadCorpus("testdata/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("empty corpus")
-	}
-	for _, e := range entries {
-		diffCompare(t, "corpus/"+e.Scenario.Name, scenarioConfig(t, e.Scenario))
+// docConfig lifts a generated (timeline-free) document into a
+// runnable sim.Config factory: fresh processor/workload per run, as
+// the scenario executor builds them.
+func docConfig(t *testing.T, doc *scenario.Document) func() sim.Config {
+	t.Helper()
+	return func() sim.Config {
+		proc, err := doc.Processor.Build()
+		if err != nil {
+			t.Fatalf("%s: processor: %v", doc.Name, err)
+		}
+		gen, err := doc.Workload.Build()
+		if err != nil {
+			t.Fatalf("%s: workload: %v", doc.Name, err)
+		}
+		return sim.Config{
+			TaskSet:    docTaskSet(doc),
+			Processor:  proc,
+			Workload:   gen,
+			JitterSeed: doc.JitterSeed,
+		}
 	}
 }
 
@@ -101,8 +97,8 @@ func TestDifferentialCorpus(t *testing.T) {
 // kind — under both analyzer modes.
 func TestDifferentialGenerated(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
-		sc := Generate(seed)
-		diffCompare(t, sc.Name, scenarioConfig(t, sc))
+		doc := Generate(seed)
+		diffCompare(t, doc.Name, docConfig(t, doc))
 	}
 }
 
@@ -175,9 +171,9 @@ func TestDifferentialActiveWindows(t *testing.T) {
 				windows[i] = append(windows[i], sim.Window{Start: s2, End: s2 + src.Range(horizon/8, horizon/3)})
 			}
 		}
-		sc := Generate(seed) // borrow a generated processor/workload pair
-		diffCompare(t, sc.Name+"+windows", func() sim.Config {
-			cfg := scenarioConfig(t, sc)()
+		doc := Generate(seed) // borrow a generated processor/workload pair
+		diffCompare(t, doc.Name+"+windows", func() sim.Config {
+			cfg := docConfig(t, doc)()
 			cfg.TaskSet = ts
 			cfg.ActiveWindows = windows
 			cfg.Horizon = horizon

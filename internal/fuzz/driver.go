@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"dvsslack/internal/prng"
+	"dvsslack/internal/scenario"
 )
 
 // Options configures a fuzzing campaign.
@@ -17,8 +18,8 @@ type Options struct {
 	// derived from Hash3(Seed, i, 0), so a campaign is reproducible
 	// from (Seed, N) alone.
 	Seed uint64
-	// OutDir, when non-empty, receives a shrunk JSON reproducer per
-	// failing scenario (created if missing).
+	// OutDir, when non-empty, receives a shrunk YAML reproducer
+	// document per failing scenario (created if missing).
 	OutDir string
 	// ShrinkBudget bounds the shrinker's candidate runs per failure;
 	// <= 0 selects DefaultShrinkBudget.
@@ -47,10 +48,10 @@ type Summary struct {
 // OK reports whether the campaign found nothing.
 func (s *Summary) OK() bool { return len(s.Failures) == 0 }
 
-// Fuzz runs a campaign: N generated scenarios, every applicable
-// policy audited, failures shrunk and serialized as reproducers. The
-// returned error covers harness problems (unwritable OutDir), not
-// audit findings — check Summary.OK for those.
+// Fuzz runs a campaign: N generated documents, every applicable
+// policy audited, failures shrunk and written as reproducer
+// documents. The returned error covers harness problems (unwritable
+// OutDir), not audit findings — check Summary.OK for those.
 func Fuzz(opts Options) (*Summary, error) {
 	if opts.OutDir != "" {
 		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
@@ -59,37 +60,43 @@ func Fuzz(opts Options) (*Summary, error) {
 	}
 	sum := &Summary{}
 	for i := 0; i < opts.N; i++ {
-		sc := Generate(prng.Hash3(opts.Seed, i, 0))
-		res := Run(sc)
+		seed := prng.Hash3(opts.Seed, i, 0)
+		doc := Generate(seed)
+		v := execute(doc)
 		sum.Scenarios++
-		sum.Runs += len(sc.Policies)
-		if res.OK() {
+		sum.Runs += len(doc.Policies)
+		if v.Ok {
 			continue
 		}
-		fail := Failure{Scenario: sc.Name, Seed: sc.Seed, Fingerprint: res.Fingerprint()}
+		fail := Failure{Scenario: doc.Name, Seed: seed, Fingerprint: v.Fingerprint()}
 		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "FAIL %s: %v\n", sc.Name, fail.Fingerprint)
+			fmt.Fprintf(opts.Log, "FAIL %s: %v\n", doc.Name, fail.Fingerprint)
 		}
 		if opts.OutDir != "" {
-			min, minRes := Shrink(sc, opts.ShrinkBudget)
-			entry := CorpusEntry{
-				Comment: fmt.Sprintf(
-					"shrunk reproducer from fuzz seed %#x; original fingerprint %v",
-					sc.Seed, fail.Fingerprint),
-				Scenario: min,
-				Expect:   minRes.Fingerprint(),
-			}
-			path := filepath.Join(opts.OutDir, "repro-"+min.Name+".json")
-			if err := WriteEntry(path, entry); err != nil {
+			min := Shrink(doc, opts.ShrinkBudget)
+			path, err := writeReproducer(opts.OutDir, min, seed, fail.Fingerprint)
+			if err != nil {
 				return nil, err
 			}
 			fail.ReproPath = path
 			if opts.Log != nil {
 				fmt.Fprintf(opts.Log, "  reproducer: %s (%d tasks, %d policies)\n",
-					path, len(min.TaskSet.Tasks), len(min.Policies))
+					path, len(min.Tasks), len(min.Policies))
 			}
 		}
 		sum.Failures = append(sum.Failures, fail)
 	}
 	return sum, nil
+}
+
+// writeReproducer records where a shrunk document came from in its
+// description and writes it as dir/repro-<name>.yaml, returning the
+// path.
+func writeReproducer(dir string, min *scenario.Document, seed uint64, fingerprint []string) (string, error) {
+	min.Description = fmt.Sprintf("shrunk reproducer from fuzz seed %#x; original fingerprint %v", seed, fingerprint)
+	path := filepath.Join(dir, "repro-"+min.Name+".yaml")
+	if err := os.WriteFile(path, scenario.MarshalYAML(min), 0o644); err != nil {
+		return "", err
+	}
+	return path, nil
 }

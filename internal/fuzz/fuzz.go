@@ -1,18 +1,19 @@
 // Package fuzz is the deterministic property-fuzz harness behind
 // cmd/dvscheck: it generates randomized but fully reproducible
-// simulation scenarios — task sets, AET distributions, release
-// jitter, discrete-level processor models, job overruns up to WCET,
-// and speed-transition stalls — runs every applicable registered
-// policy under the internal/audit oracle, and shrinks any failure to
-// a minimal reproducer that serializes as JSON into a corpus and
-// replays byte-identically.
+// scenario documents — task sets, AET distributions, release jitter,
+// discrete-level processor models, job overruns up to WCET, and
+// speed-transition stalls — runs them through the scenario executor
+// with every applicable registered policy under the internal/audit
+// oracle, and shrinks any failure to a minimal reproducer document
+// that pins its failure with a fingerprint assertion and replays
+// byte-identically under `dvsscen run` and `dvscheck -replay`.
 //
 // Everything is a pure function of the seed: Generate(seed) always
-// yields the same Scenario, a Scenario always produces the same runs
-// (the engine, workload generators, and jitter streams are themselves
-// deterministic), and reports are rendered with sorted keys and no
-// map iteration, so a reproducer found on one machine fails the same
-// way on another.
+// yields the same document, a document always produces the same
+// verdict (the engine, workload generators, and jitter streams are
+// themselves deterministic), and verdicts render with sorted keys and
+// no map iteration, so a reproducer found on one machine fails the
+// same way on another.
 //
 // Policy applicability follows the hazard classes established by the
 // experiment suite (see EXPERIMENTS.md figures F7 and F9): on a
@@ -20,45 +21,20 @@
 // miss-free, but under release jitter or transition stalls only the
 // lpSHE family carries that guarantee — ccEDF and the other
 // comparison baselines legitimately miss there, which would drown
-// real engine bugs in expected failures. Each generated scenario
+// real engine bugs in expected failures. Each generated document
 // therefore lists exactly the policies that must survive it.
 package fuzz
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
-	"dvsslack/internal/audit"
 	"dvsslack/internal/policies"
 	"dvsslack/internal/prng"
 	"dvsslack/internal/rtm"
-	"dvsslack/internal/server"
-	"dvsslack/internal/sim"
+	"dvsslack/internal/scenario"
+	"dvsslack/internal/wire"
 )
-
-// Scenario is one self-contained fuzz configuration. It reuses the
-// dvsd wire specs for the processor and workload, so a scenario can
-// be pasted into a /v1/simulate request body almost verbatim.
-type Scenario struct {
-	// Name labels the scenario in reports and file names.
-	Name string `json:"name"`
-	// Seed is the generator seed the scenario was derived from
-	// (zero for hand-written corpus entries).
-	Seed uint64 `json:"seed,omitempty"`
-	// TaskSet is the periodic task set, including any release
-	// jitter on its tasks.
-	TaskSet *rtm.TaskSet `json:"task_set"`
-	// Processor and Workload describe the CPU model and AET
-	// distribution in dvsd wire form.
-	Processor server.ProcessorSpec `json:"processor"`
-	Workload  server.WorkloadSpec  `json:"workload"`
-	// JitterSeed selects the release-jitter stream (meaningful only
-	// when tasks carry jitter).
-	JitterSeed uint64 `json:"jitter_seed,omitempty"`
-	// Policies lists the policy specs that must survive this
-	// scenario without a single audit violation.
-	Policies []string `json:"policies"`
-}
 
 // lpSHEFamily is the set of policies that keep the paper's hard
 // real-time guarantee under release jitter and transition stalls
@@ -68,10 +44,16 @@ type Scenario struct {
 // bugs.
 var lpSHEFamily = []string{"lpshe", "lpshe-greedy", "lpshe-no-reclaim", "lpshe-horizon8", "lpshe-horizon32"}
 
-// Generate derives a scenario deterministically from seed.
-func Generate(seed uint64) Scenario {
+// Generate derives a scenario document deterministically from seed.
+// The document asserts audit_clean: every listed policy must finish
+// without an error or a single audit violation.
+func Generate(seed uint64) *scenario.Document {
 	src := prng.New(prng.Mix64(seed ^ 0xd1f5c4ec5eed))
-	sc := Scenario{Name: fmt.Sprintf("fuzz-%016x", seed), Seed: seed}
+	doc := &scenario.Document{
+		Version:    scenario.Version,
+		Name:       fmt.Sprintf("fuzz-%016x", seed),
+		Assertions: []scenario.Assertion{{Kind: "audit_clean"}},
+	}
 
 	n := 2 + src.Intn(7)
 	u := src.Range(0.25, 0.9)
@@ -81,7 +63,6 @@ func Generate(seed uint64) Scenario {
 		// rather than fuzz a half-built scenario.
 		panic(fmt.Sprintf("fuzz: Generate(%d): %v", seed, err))
 	}
-	sc.TaskSet = ts
 
 	// Hazard roll: release jitter, transition stalls, or neither.
 	// Both shrink the applicable policy list to the lpSHE family.
@@ -92,33 +73,37 @@ func Generate(seed uint64) Scenario {
 	// Processor model.
 	switch src.Intn(4) {
 	case 0:
-		sc.Processor = server.ProcessorSpec{SMin: src.Range(0.05, 0.3)}
+		doc.Processor = wire.ProcessorSpec{SMin: src.Range(0.05, 0.3)}
 	case 1:
 		k := 2 + src.Intn(7)
 		levels := make([]float64, k)
 		for i := range levels {
 			levels[i] = float64(i+1) / float64(k)
 		}
-		sc.Processor = server.ProcessorSpec{Levels: levels}
+		doc.Processor = wire.ProcessorSpec{Levels: levels}
 	case 2:
-		sc.Processor = server.ProcessorSpec{Preset: "xscale"}
+		doc.Processor = wire.ProcessorSpec{Preset: "xscale"}
 	default:
-		sc.Processor = server.ProcessorSpec{SMin: 0.1, LeakagePower: src.Range(0.01, 0.1)}
+		doc.Processor = wire.ProcessorSpec{SMin: 0.1, LeakagePower: src.Range(0.01, 0.1)}
 		if src.Float64() < 0.5 {
-			sc.Processor.SleepEnabled = true
-			sc.Processor.SleepPower = 0.005
-			sc.Processor.WakeEnergy = src.Range(0.1, 0.5)
+			doc.Processor.SleepEnabled = true
+			doc.Processor.SleepPower = 0.005
+			doc.Processor.WakeEnergy = src.Range(0.1, 0.5)
 		}
 	}
 	if stall {
-		sc.Processor.SwitchTime = src.Range(0.02, 0.3)
-		sc.Processor.SwitchEnergyCoeff = 0.1
+		doc.Processor.SwitchTime = src.Range(0.02, 0.3)
+		doc.Processor.SwitchEnergyCoeff = 0.1
+	}
+	for _, t := range ts.Tasks {
+		task := scenario.TaskSpec{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: t.Deadline}
+		if jitter {
+			task.Jitter = src.Range(0.02, 0.15) * t.Period
+		}
+		doc.Tasks = append(doc.Tasks, task)
 	}
 	if jitter {
-		for i := range ts.Tasks {
-			ts.Tasks[i].Jitter = src.Range(0.02, 0.15) * ts.Tasks[i].Period
-		}
-		sc.JitterSeed = src.Uint64()
+		doc.JitterSeed = src.Uint64()
 	}
 
 	// Workload: the bimodal case models rare job overruns to the
@@ -126,146 +111,45 @@ func Generate(seed uint64) Scenario {
 	switch src.Intn(5) {
 	case 0:
 		lo := src.Range(0.1, 0.5)
-		sc.Workload = server.WorkloadSpec{Kind: "uniform", Lo: lo, Hi: src.Range(lo, 1), Seed: src.Uint64()}
+		doc.Workload = wire.WorkloadSpec{Kind: "uniform", Lo: lo, Hi: src.Range(lo, 1), Seed: src.Uint64()}
 	case 1:
-		sc.Workload = server.WorkloadSpec{Kind: "constant", Frac: src.Range(0.2, 1)}
+		doc.Workload = wire.WorkloadSpec{Kind: "constant", Frac: src.Range(0.2, 1)}
 	case 2:
-		sc.Workload = server.WorkloadSpec{Kind: "normal", Mean: src.Range(0.3, 0.7), StdDev: 0.2, Seed: src.Uint64()}
+		doc.Workload = wire.WorkloadSpec{Kind: "normal", Mean: src.Range(0.3, 0.7), StdDev: 0.2, Seed: src.Uint64()}
 	case 3:
-		sc.Workload = server.WorkloadSpec{
+		doc.Workload = wire.WorkloadSpec{
 			Kind: "bimodal", LightFrac: src.Range(0.1, 0.4), HeavyFrac: 1,
 			PHeavy: src.Range(0.05, 0.3), Seed: src.Uint64(),
 		}
 	default:
-		sc.Workload = server.WorkloadSpec{Kind: "worst-case"}
+		doc.Workload = wire.WorkloadSpec{Kind: "worst-case"}
 	}
 
 	switch {
 	case jitter || stall:
-		sc.Policies = append([]string(nil), lpSHEFamily...)
+		doc.Policies = append([]string(nil), lpSHEFamily...)
 		if stall {
-			sc.Policies = append(sc.Policies, "lpshe+guard")
+			doc.Policies = append(doc.Policies, "lpshe+guard")
 		}
 	default:
-		sc.Policies = append([]string(nil), policies.Names()...)
-		if sc.Processor.LeakagePower > 0 {
-			sc.Policies = append(sc.Policies, "lpshe+crit")
+		doc.Policies = append([]string(nil), policies.Names()...)
+		if doc.Processor.LeakagePower > 0 {
+			doc.Policies = append(doc.Policies, "lpshe+crit")
 		}
-		if len(sc.Processor.Levels) > 0 {
-			sc.Policies = append(sc.Policies, "lpshe+dual")
-		}
-	}
-	return sc
-}
-
-// PolicyOutcome is one policy's audited run within a scenario.
-type PolicyOutcome struct {
-	Policy string `json:"policy"`
-	// Err is set when the run itself failed (bad spec, engine
-	// error); such an outcome counts as a failure.
-	Err            string  `json:"err,omitempty"`
-	DeadlineMisses int     `json:"deadline_misses"`
-	Energy         float64 `json:"energy"`
-	// Violations is the audit report for the run, in detection
-	// order.
-	Violations []audit.Violation `json:"violations,omitempty"`
-	Truncated  bool              `json:"truncated,omitempty"`
-}
-
-// Result is the outcome of running one scenario across its policies.
-type Result struct {
-	Scenario string          `json:"scenario"`
-	Policies []PolicyOutcome `json:"policies"`
-}
-
-// OK reports whether every policy survived the audit.
-func (r *Result) OK() bool {
-	for _, p := range r.Policies {
-		if p.Err != "" || len(p.Violations) > 0 || p.Truncated {
-			return false
+		if len(doc.Processor.Levels) > 0 {
+			doc.Policies = append(doc.Policies, "lpshe+dual")
 		}
 	}
-	return true
+	return doc
 }
 
-// Fingerprint summarizes a failure as sorted, de-duplicated
-// "policy/invariant" pairs (a run error contributes "policy/error").
-// The shrinker uses fingerprint overlap to decide whether a reduced
-// scenario still reproduces the original failure.
-func (r *Result) Fingerprint() []string {
-	seen := map[string]bool{}
-	for _, p := range r.Policies {
-		if p.Err != "" {
-			seen[p.Policy+"/error"] = true
-		}
-		for _, v := range p.Violations {
-			seen[p.Policy+"/"+v.Invariant] = true
-		}
-	}
-	fp := make([]string, 0, len(seen))
-	for k := range seen {
-		fp = append(fp, k)
-	}
-	sort.Strings(fp)
-	return fp
-}
-
-// Run executes the scenario: every listed policy simulates the same
-// configuration under a fresh auditor. Scenario problems (an
-// unbuildable spec) surface as per-policy Err entries rather than
-// aborting, so corpus replays always produce a comparable Result.
-func Run(sc Scenario) *Result {
-	res := &Result{Scenario: sc.Name}
-	for _, spec := range sc.Policies {
-		res.Policies = append(res.Policies, runPolicy(sc, spec))
-	}
-	return res
-}
-
-func runPolicy(sc Scenario, spec string) PolicyOutcome {
-	out := PolicyOutcome{Policy: spec}
-	if sc.TaskSet == nil {
-		out.Err = "scenario has no task set"
-		return out
-	}
-	if err := sc.TaskSet.Validate(); err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	// Build a fresh processor per run: the spec is the shared
-	// immutable form, the built value is private to this run.
-	proc, err := sc.Processor.Build()
+// execute runs a document through the scenario executor. Without a
+// cancellable context Execute cannot fail; its per-policy errors land
+// in the verdict.
+func execute(doc *scenario.Document) *scenario.Verdict {
+	v, err := scenario.Execute(context.Background(), doc)
 	if err != nil {
-		out.Err = err.Error()
-		return out
+		panic(fmt.Sprintf("fuzz: executing %s: %v", doc.Name, err))
 	}
-	gen, err := sc.Workload.Build()
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	pol, err := policies.New(spec)
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	aud := audit.New(audit.Options{TaskSet: sc.TaskSet, Processor: proc})
-	res, err := sim.Run(sim.Config{
-		TaskSet:    sc.TaskSet,
-		Processor:  proc,
-		Policy:     pol,
-		Workload:   gen,
-		Observer:   aud,
-		JitterSeed: sc.JitterSeed,
-	})
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	rep := aud.Finish(res)
-	out.DeadlineMisses = res.DeadlineMisses
-	out.Energy = res.Energy
-	out.Violations = rep.Violations
-	out.Truncated = rep.Truncated
-	return out
+	return v
 }

@@ -5,14 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"dvsslack/internal/rtm"
-	"dvsslack/internal/server"
+	"dvsslack/internal/scenario"
+	"dvsslack/internal/wire"
 )
 
 // TestGenerateDeterministic pins the core fuzzing contract: the same
-// seed always yields the same scenario, structurally identical down
+// seed always yields the same document, structurally identical down
 // to every field.
 func TestGenerateDeterministic(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
@@ -22,7 +23,27 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	if reflect.DeepEqual(Generate(1), Generate(2)) {
-		t.Error("distinct seeds produced identical scenarios")
+		t.Error("distinct seeds produced identical documents")
+	}
+}
+
+// TestGeneratedDocumentsRoundTrip checks generated documents are
+// first-class scenarios: each validates, keeps its DocKey through the
+// YAML form reproducers are written in, and replays to the same
+// verdict bytes from that form.
+func TestGeneratedDocumentsRoundTrip(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		doc := Generate(seed)
+		reparsed, errs := scenario.Parse(doc.Name, scenario.MarshalYAML(doc))
+		if len(errs) > 0 {
+			t.Fatalf("seed %d: generated document does not validate: %v", seed, errs)
+		}
+		if scenario.DocKey(reparsed) != scenario.DocKey(doc) {
+			t.Fatalf("seed %d: YAML round trip changed the document", seed)
+		}
+		if got, want := execute(reparsed).JSON(), execute(doc).JSON(); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: reparsed document replays differently:\n%s\nvs\n%s", seed, got, want)
+		}
 	}
 }
 
@@ -41,32 +62,34 @@ func TestCampaignClean(t *testing.T) {
 	}
 }
 
-// failingScenario is an EDF-infeasible set (U = 1.2) that must
-// produce deadline-miss violations under any policy.
-func failingScenario() Scenario {
-	return Scenario{
-		Name: "infeasible",
-		TaskSet: &rtm.TaskSet{Tasks: []rtm.Task{
+// failingDoc is an EDF-infeasible set (U = 1.2) that must produce
+// deadline-miss violations under any policy.
+func failingDoc() *scenario.Document {
+	return &scenario.Document{
+		Version: scenario.Version,
+		Name:    "infeasible",
+		Tasks: []scenario.TaskSpec{
 			{Name: "T1", WCET: 6, Period: 10},
 			{Name: "T2", WCET: 6, Period: 10},
 			{Name: "T3", WCET: 1, Period: 100},
-		}},
-		Processor: server.ProcessorSpec{SMin: 0.1},
-		Workload:  server.WorkloadSpec{Kind: "worst-case"},
-		Policies:  []string{"nondvs", "lpshe"},
+		},
+		Processor:  wire.ProcessorSpec{SMin: 0.1},
+		Workload:   wire.WorkloadSpec{Kind: "worst-case"},
+		Policies:   []string{"nondvs", "lpshe"},
+		Assertions: []scenario.Assertion{{Kind: "audit_clean"}},
 	}
 }
 
-// TestRunDetectsFailure checks Run surfaces audit violations and a
-// stable fingerprint for a genuinely broken scenario.
+// TestRunDetectsFailure checks a genuinely broken document fails its
+// audit_clean assertion with a stable fingerprint.
 func TestRunDetectsFailure(t *testing.T) {
-	res := Run(failingScenario())
-	if res.OK() {
+	v := execute(failingDoc())
+	if v.Ok {
 		t.Fatal("infeasible scenario reported OK")
 	}
-	fp := res.Fingerprint()
+	fp := v.Fingerprint()
 	if len(fp) == 0 {
-		t.Fatal("failing result has empty fingerprint")
+		t.Fatal("failing verdict has empty fingerprint")
 	}
 	found := false
 	for _, f := range fp {
@@ -79,127 +102,126 @@ func TestRunDetectsFailure(t *testing.T) {
 	}
 }
 
-// TestShrink checks the shrinker reduces a failing scenario while
-// preserving fingerprint overlap, and leaves clean scenarios alone.
+// TestShrink checks the shrinker reduces a failing document while
+// preserving fingerprint overlap, pins the reduced failure with a
+// fingerprint assertion that passes, and leaves clean documents alone.
 func TestShrink(t *testing.T) {
-	sc := failingScenario()
-	origFP := Run(sc).Fingerprint()
-	min, minRes := Shrink(sc, 0)
-	if minRes.OK() {
+	doc := failingDoc()
+	origFP := execute(doc).Fingerprint()
+	min := Shrink(doc, 0)
+	v := execute(min)
+	if len(v.Fingerprint()) == 0 {
 		t.Fatal("shrunk scenario no longer fails")
+	}
+	if !v.Ok {
+		t.Fatalf("shrunk reproducer fails its own fingerprint assertion: %s", v.JSON())
+	}
+	if len(min.Assertions) != 1 || min.Assertions[0].Kind != "fingerprint" ||
+		!reflect.DeepEqual(min.Assertions[0].Expect, v.Fingerprint()) {
+		t.Errorf("reproducer assertions %+v, want one fingerprint %v", min.Assertions, v.Fingerprint())
 	}
 	overlap := false
 	set := map[string]bool{}
 	for _, f := range origFP {
 		set[f] = true
 	}
-	for _, f := range minRes.Fingerprint() {
+	for _, f := range v.Fingerprint() {
 		if set[f] {
 			overlap = true
 		}
 	}
 	if !overlap {
-		t.Errorf("shrunk fingerprint %v shares nothing with original %v",
-			minRes.Fingerprint(), origFP)
+		t.Errorf("shrunk fingerprint %v shares nothing with original %v", v.Fingerprint(), origFP)
 	}
 	if len(min.Policies) != 1 {
 		t.Errorf("shrinker kept %d policies, want 1", len(min.Policies))
 	}
 	// T3 is irrelevant to the overload; the shrinker must drop it.
-	if got := len(min.TaskSet.Tasks); got != 2 {
+	if got := len(min.Tasks); got != 2 {
 		t.Errorf("shrinker kept %d tasks, want 2", got)
+	}
+	if min.Name != "infeasible-min" || doc.Name != "infeasible" || len(doc.Tasks) != 3 {
+		t.Errorf("shrinking renamed %q -> %q or modified the input (%d tasks)", doc.Name, min.Name, len(doc.Tasks))
 	}
 
 	clean := Generate(3)
-	same, res := Shrink(clean, 0)
-	if !res.OK() {
-		t.Fatalf("clean scenario shrank to a failure: %v", res.Fingerprint())
-	}
-	if !reflect.DeepEqual(same.TaskSet, clean.TaskSet) {
-		t.Error("shrinking a clean scenario modified its task set")
+	if same := Shrink(clean, 0); !reflect.DeepEqual(same, clean) {
+		t.Error("shrinking a clean document modified it")
 	}
 }
 
-// TestCorpusRoundTrip checks entries survive write → load and that
-// replaying one is byte-identical across runs.
+// TestCorpusRoundTrip checks a written reproducer survives write →
+// parse unchanged and that replaying it is byte-identical across runs.
 func TestCorpusRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	min, minRes := Shrink(failingScenario(), 0)
-	entry := CorpusEntry{
-		Comment:  "round-trip test entry",
-		Scenario: min,
-		Expect:   minRes.Fingerprint(),
-	}
-	path := filepath.Join(dir, "repro-infeasible.json")
-	if err := WriteEntry(path, entry); err != nil {
-		t.Fatal(err)
-	}
-	entries, paths, err := LoadCorpus(dir)
+	min := Shrink(failingDoc(), 0)
+	path, err := writeReproducer(dir, min, 7, []string{"nondvs/deadline-miss"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || len(paths) != 1 {
-		t.Fatalf("loaded %d entries / %d paths, want 1/1", len(entries), len(paths))
-	}
-	if !reflect.DeepEqual(entries[0].Scenario, entry.Scenario) {
-		t.Error("scenario changed across write/load")
-	}
-
-	res1, _, err := Replay(entries[0])
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, _, err := Replay(entries[0])
-	if err != nil {
-		t.Fatal(err)
+	loaded, errs := scenario.Parse(path, data)
+	if len(errs) > 0 {
+		t.Fatalf("written reproducer does not validate: %v", errs)
 	}
-	b1, err := ReportJSON(res1)
-	if err != nil {
-		t.Fatal(err)
+	if scenario.DocKey(loaded) != scenario.DocKey(min) {
+		t.Error("document changed across write/parse")
 	}
-	b2, err := ReportJSON(res2)
-	if err != nil {
-		t.Fatal(err)
+	v1, v2 := execute(loaded), execute(loaded)
+	if !v1.Ok {
+		t.Fatalf("written reproducer fails its fingerprint assertion: %s", v1.JSON())
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("replay reports differ byte-for-byte across two runs")
+	if !bytes.Equal(v1.JSON(), v2.JSON()) {
+		t.Error("replay verdicts differ byte-for-byte across two runs")
 	}
 }
 
-// TestReplayMismatch checks Replay errors when the observed
-// fingerprint diverges from the corpus expectation.
+// TestReplayMismatch checks a reproducer's fingerprint assertion
+// fails when the observed fingerprint diverges from it.
 func TestReplayMismatch(t *testing.T) {
-	entry := CorpusEntry{Scenario: failingScenario(), Expect: nil}
-	if _, _, err := Replay(entry); err == nil {
-		t.Fatal("Replay accepted a failing scenario whose corpus entry expects a clean run")
+	doc := failingDoc()
+	doc.Assertions = []scenario.Assertion{{Kind: "fingerprint", Expect: []string{}}}
+	if execute(doc).Ok {
+		t.Fatal("a failing document passed a fingerprint assertion expecting a clean run")
 	}
 	clean := Generate(5)
-	if _, _, err := Replay(CorpusEntry{Scenario: clean, Expect: []string{"lpshe/energy"}}); err == nil {
-		t.Fatal("Replay accepted a clean scenario whose corpus entry expects a failure")
+	clean.Assertions = []scenario.Assertion{{Kind: "fingerprint", Expect: []string{"lpshe/energy"}}}
+	if execute(clean).Ok {
+		t.Fatal("a clean document passed a fingerprint assertion expecting a failure")
 	}
 }
 
-// TestFuzzWritesReproducer checks a failing campaign writes a shrunk
-// reproducer that replays with the recorded fingerprint.
+// TestFuzzWritesReproducer checks the reproducer path of a failing
+// campaign: Fuzz writes Shrink's document through writeReproducer,
+// which must yield a .yaml file that validates (as `dvsscen
+// validate` checks it) and replays green, recording its origin.
 func TestFuzzWritesReproducer(t *testing.T) {
 	// No generated scenario fails (the engine is correct), so drive
-	// the reproducer path directly through Shrink + WriteEntry the
-	// way Fuzz does, then verify the file replays.
+	// the reproducer path directly the way Fuzz does.
 	dir := t.TempDir()
-	min, minRes := Shrink(failingScenario(), 0)
-	path := filepath.Join(dir, "repro-"+min.Name+".json")
-	err := WriteEntry(path, CorpusEntry{Scenario: min, Expect: minRes.Fingerprint()})
+	min := Shrink(failingDoc(), 0)
+	path, err := writeReproducer(dir, min, 0x2a, []string{"lpshe/deadline-miss", "nondvs/deadline-miss"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := LoadEntry(path)
+	if want := filepath.Join(dir, "repro-infeasible-min.yaml"); path != want {
+		t.Fatalf("reproducer written to %s, want %s", path, want)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Replay(e); err != nil {
-		t.Fatalf("written reproducer does not replay: %v", err)
+	doc, errs := scenario.Parse(path, data)
+	if len(errs) > 0 {
+		t.Fatalf("written reproducer does not validate: %v", errs)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(doc.Description, "fuzz seed 0x2a") {
+		t.Errorf("reproducer description %q does not record its seed", doc.Description)
+	}
+	if v := execute(doc); !v.Ok {
+		t.Fatalf("written reproducer does not replay: %s", v.JSON())
 	}
 }

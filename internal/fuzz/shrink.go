@@ -1,11 +1,11 @@
 package fuzz
 
 import (
-	"dvsslack/internal/rtm"
-	"dvsslack/internal/server"
+	"dvsslack/internal/scenario"
+	"dvsslack/internal/wire"
 )
 
-// The shrinker reduces a failing scenario to a minimal reproducer.
+// The shrinker reduces a failing document to a minimal reproducer.
 // Minimality here is greedy, not global: each pass removes one source
 // of complexity — extra policies, extra tasks, jitter, stalls, the
 // workload distribution, the processor model — and keeps the
@@ -18,44 +18,43 @@ import (
 // call may spend.
 const DefaultShrinkBudget = 80
 
-// clone deep-copies a scenario so reductions never alias the
-// original's task or policy slices.
-func clone(sc Scenario) Scenario {
-	out := sc
-	if sc.TaskSet != nil {
-		ts := *sc.TaskSet
-		ts.Tasks = append([]rtm.Task(nil), sc.TaskSet.Tasks...)
-		out.TaskSet = &ts
-	}
-	out.Policies = append([]string(nil), sc.Policies...)
-	return out
+// clone deep-copies the parts of a document the shrinker edits, so
+// reductions never alias the original's task or policy slices.
+func clone(doc *scenario.Document) *scenario.Document {
+	out := *doc
+	out.Tasks = append([]scenario.TaskSpec(nil), doc.Tasks...)
+	out.Policies = append([]string(nil), doc.Policies...)
+	return &out
 }
 
-// Shrink reduces sc to a smaller scenario whose failure overlaps the
-// original's fingerprint. It returns the reduced scenario and its
-// Result. If sc does not fail at all, it is returned unchanged with
-// its (clean) Result. budget <= 0 selects DefaultShrinkBudget.
-func Shrink(sc Scenario, budget int) (Scenario, *Result) {
+// Shrink reduces a generated document (one without a timeline) to a
+// smaller one whose failure overlaps the original's fingerprint. The
+// reproducer is named after the original with a "-min" suffix and
+// asserts exactly its own failure fingerprint, so it replays green
+// under `dvsscen run` while pinning what failed. A document that does
+// not fail is returned unchanged. budget <= 0 selects
+// DefaultShrinkBudget.
+func Shrink(doc *scenario.Document, budget int) *scenario.Document {
 	if budget <= 0 {
 		budget = DefaultShrinkBudget
 	}
-	best := clone(sc)
-	bestRes := Run(best)
+	best := clone(doc)
+	bestRes := execute(best)
 	orig := map[string]bool{}
 	for _, f := range bestRes.Fingerprint() {
 		orig[f] = true
 	}
 	if len(orig) == 0 {
-		return best, bestRes
+		return best
 	}
 	// try re-runs a candidate and adopts it when its failure still
 	// overlaps the original fingerprint.
-	try := func(cand Scenario) bool {
+	try := func(cand *scenario.Document) bool {
 		if budget <= 0 {
 			return false
 		}
 		budget--
-		r := Run(cand)
+		r := execute(cand)
 		for _, f := range r.Fingerprint() {
 			if orig[f] {
 				best, bestRes = cand, r
@@ -84,9 +83,9 @@ func Shrink(sc Scenario, budget int) (Scenario, *Result) {
 		}
 
 		// Drop tasks one at a time (never below one task).
-		for i := 0; best.TaskSet != nil && len(best.TaskSet.Tasks) > 1 && i < len(best.TaskSet.Tasks); {
+		for i := 0; len(best.Tasks) > 1 && i < len(best.Tasks); {
 			cand := clone(best)
-			cand.TaskSet.Tasks = append(cand.TaskSet.Tasks[:i], cand.TaskSet.Tasks[i+1:]...)
+			cand.Tasks = append(cand.Tasks[:i], cand.Tasks[i+1:]...)
 			if try(cand) {
 				changed = true
 				// best shrank; retry the same index.
@@ -96,19 +95,17 @@ func Shrink(sc Scenario, budget int) (Scenario, *Result) {
 		}
 
 		// Remove hazards and model complexity, one knob at a time.
-		if best.TaskSet != nil {
-			jittered := false
-			for _, t := range best.TaskSet.Tasks {
-				jittered = jittered || t.Jitter > 0
+		jittered := false
+		for _, t := range best.Tasks {
+			jittered = jittered || t.Jitter > 0
+		}
+		if jittered {
+			cand := clone(best)
+			for i := range cand.Tasks {
+				cand.Tasks[i].Jitter = 0
 			}
-			if jittered {
-				cand := clone(best)
-				for i := range cand.TaskSet.Tasks {
-					cand.TaskSet.Tasks[i].Jitter = 0
-				}
-				cand.JitterSeed = 0
-				changed = try(cand) || changed
-			}
+			cand.JitterSeed = 0
+			changed = try(cand) || changed
 		}
 		if best.Processor.SwitchTime != 0 || best.Processor.SwitchEnergyCoeff != 0 {
 			cand := clone(best)
@@ -118,12 +115,12 @@ func Shrink(sc Scenario, budget int) (Scenario, *Result) {
 		}
 		if best.Workload.Kind != "worst-case" {
 			cand := clone(best)
-			cand.Workload = server.WorkloadSpec{Kind: "worst-case"}
+			cand.Workload = wire.WorkloadSpec{Kind: "worst-case"}
 			changed = try(cand) || changed
 		}
 		if !plainProcessor(best.Processor) {
 			cand := clone(best)
-			cand.Processor = server.ProcessorSpec{SMin: 0.1}
+			cand.Processor = wire.ProcessorSpec{SMin: 0.1}
 			changed = try(cand) || changed
 		}
 
@@ -131,15 +128,15 @@ func Shrink(sc Scenario, budget int) (Scenario, *Result) {
 			break
 		}
 	}
-	best.Name = sc.Name + "-min"
-	bestRes.Scenario = best.Name
-	return best, bestRes
+	best.Name = doc.Name + "-min"
+	best.Assertions = []scenario.Assertion{{Kind: "fingerprint", Expect: bestRes.Fingerprint()}}
+	return best
 }
 
 // plainProcessor reports whether the spec already is the simplest
 // model the shrinker targets: a bare continuous CPU with default
 // power and no overheads.
-func plainProcessor(s server.ProcessorSpec) bool {
+func plainProcessor(s wire.ProcessorSpec) bool {
 	return s.Preset == "" && len(s.Levels) == 0 && s.Model == "" &&
 		s.IdlePower == nil && s.SwitchTime == 0 && s.SwitchEnergyCoeff == 0 &&
 		s.LeakagePower == 0 && !s.SleepEnabled && s.SMin == 0.1

@@ -90,7 +90,7 @@ type surge struct {
 
 // newShapedWorkload returns nil when the timeline carries no workload
 // events, so the caller can skip the wrapper entirely and keep
-// bit-identical replay of unshaped documents (e.g. fuzz conversions).
+// bit-identical replay of unshaped documents (e.g. generated ones).
 func newShapedWorkload(doc *Document, base workload.Generator, ts *rtm.TaskSet) *shapedWorkload {
 	sw := &shapedWorkload{
 		base:      base,

@@ -9,11 +9,10 @@ import (
 	"sort"
 
 	"dvsslack/internal/audit"
-	"dvsslack/internal/obs"
-	"dvsslack/internal/policies"
 	"dvsslack/internal/resilience"
 	"dvsslack/internal/rtm"
 	"dvsslack/internal/sim"
+	"dvsslack/internal/wire"
 )
 
 // ObserverHook supplies an extra sim.Observer for one policy run
@@ -184,46 +183,35 @@ func ExecuteObserved(ctx context.Context, doc *Document, hook ObserverHook) (*Ve
 	return v, nil
 }
 
-// runPolicy executes one audited simulation, mirroring the fuzz
-// harness run shape exactly (fresh processor/workload/policy/auditor
-// per run) so fuzz-derived scenarios replay to identical outcomes.
+// runPolicy executes one audited simulation. The document's run spec
+// lowers exactly as a dvsd request does (wire.SimRequest.Lower: fresh
+// processor/workload/policy/auditor per run); the document adds only
+// its activity windows and timeline-shaped workload.
 func runPolicy(doc *Document, ts *rtm.TaskSet, windows [][]sim.Window, spec string, hook ObserverHook) PolicyRun {
 	out := PolicyRun{Policy: spec, Attempts: 1}
-	proc, err := doc.Processor.Build()
-	if err != nil {
-		out.Err = err.Error()
-		return out
+	req := wire.SimRequest{
+		TaskSet:    ts,
+		Policy:     spec,
+		Processor:  doc.Processor,
+		Workload:   doc.Workload,
+		Horizon:    doc.Horizon,
+		JitterSeed: doc.JitterSeed,
+		Audit:      true,
 	}
-	gen, err := doc.Workload.Build()
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	if sw := newShapedWorkload(doc, gen, ts); sw != nil {
-		gen = sw
-	}
-	pol, err := policies.New(spec)
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	aud := audit.New(audit.Options{TaskSet: ts, Processor: proc})
-	observer := sim.Observer(aud)
+	var extra func(sim.Policy) sim.Observer
 	if hook != nil {
-		if extra := hook(spec, pol); extra != nil {
-			observer = obs.Multi(observer, extra)
-		}
+		extra = func(pol sim.Policy) sim.Observer { return hook(spec, pol) }
 	}
-	res, err := sim.Run(sim.Config{
-		TaskSet:       ts,
-		Processor:     proc,
-		Policy:        pol,
-		Workload:      gen,
-		Horizon:       doc.Horizon,
-		Observer:      observer,
-		JitterSeed:    doc.JitterSeed,
-		ActiveWindows: windows,
-	})
+	cfg, aud, err := req.Lower(extra)
+	if err != nil {
+		out.Err = err.Error()
+		return out
+	}
+	cfg.ActiveWindows = windows
+	if sw := newShapedWorkload(doc, cfg.Workload, ts); sw != nil {
+		cfg.Workload = sw
+	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -381,9 +369,10 @@ func equalStrings(a, b []string) bool {
 }
 
 // Fingerprint summarizes the verdict's failures as sorted,
-// de-duplicated "policy/invariant" pairs, exactly like the fuzz
-// harness (a run error contributes "policy/error"), so fuzz corpus
-// entries converted to scenarios keep their fingerprints.
+// de-duplicated "policy/invariant" pairs (a run error contributes
+// "policy/error"). The fuzz shrinker compares fingerprints to decide
+// whether a reduction still fails, and reproducers pin theirs with a
+// fingerprint assertion.
 func (v *Verdict) Fingerprint() []string {
 	seen := map[string]bool{}
 	for _, p := range v.Policies {
@@ -415,8 +404,7 @@ func (v *Verdict) JSON() []byte {
 }
 
 // DocJSON renders a document in its canonical JSON form (two-space
-// indent, trailing newline). `dvsscen convert -format json` and the
-// corpus tooling use it; Parse reads it back.
+// indent, trailing newline); Parse reads it back.
 func DocJSON(doc *Document) []byte {
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

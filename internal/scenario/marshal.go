@@ -7,8 +7,8 @@ import (
 )
 
 // MarshalYAML renders a document in the package's YAML subset —
-// round-trippable through Parse. `dvsscen convert` uses it to lift
-// fuzz corpus entries into the scenarios/ corpus.
+// round-trippable through Parse. The fuzz harness writes its shrunk
+// reproducers in this form.
 func MarshalYAML(doc *Document) []byte {
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }

@@ -11,11 +11,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"dvsslack/internal/audit"
 	"dvsslack/internal/cpu"
@@ -26,146 +22,34 @@ import (
 	"dvsslack/internal/workload"
 )
 
-// SimRequest describes one simulation run in wire form. It is the
-// unit of work of both the synchronous /v1/simulate endpoint and the
-// async batch job API.
-type SimRequest struct {
-	// TaskSet is the periodic task set (required). The rtm wire
-	// format validates on decode, so a decoded request never carries
-	// a degenerate task set.
-	TaskSet *rtm.TaskSet `json:"task_set"`
-	// Policy is a policy spec accepted by internal/policies
-	// (required), e.g. "lpshe", "nondvs", "lpshe+dual".
-	Policy string `json:"policy"`
-	// Processor selects and tunes the CPU model. The zero value is a
-	// continuous processor with SMin 0.1.
-	Processor ProcessorSpec `json:"processor"`
-	// Workload selects the AET generator. The zero value is the
-	// worst-case workload.
-	Workload WorkloadSpec `json:"workload"`
-	// Horizon is the simulation length; zero picks the task set's
-	// default horizon (one hyperperiod when computable).
-	Horizon float64 `json:"horizon,omitempty"`
-	// JitterSeed selects the release-jitter stream for task sets
-	// with positive jitter.
-	JitterSeed uint64 `json:"jitter_seed,omitempty"`
-	// Strict makes the run fail on the first deadline miss.
-	Strict bool `json:"strict,omitempty"`
-	// Audit attaches the internal/audit oracle to the run: the
-	// response's Audited/Violations fields report every invariant
-	// breach the auditor detected. Audited runs cost one extra
-	// observer callback per scheduling event. Note that Strict aborts
-	// on the first miss, which leaves the audit event stream
-	// truncated — combine Audit with Strict only when you expect no
-	// misses at all.
-	Audit bool `json:"audit,omitempty"`
-}
+// SimRequest describes one simulation run in wire form: the unit of
+// work of both the synchronous /v1/simulate endpoint and the async
+// batch job API. It is an alias of wire.SimRequest, the run spec the
+// scenario executor lowers through as well (see ProcessorSpec for why
+// the wire types live in internal/wire).
+type SimRequest = wire.SimRequest
 
-// Validate checks the request without running it. It resolves the
-// policy spec and builds (then discards) the processor and workload,
-// so a nil error means Config will succeed.
-func (r *SimRequest) Validate() error {
-	if _, err := r.Config(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Config translates the request into a runnable sim.Config. The
-// returned config holds freshly constructed policy, processor, and
-// workload values, so concurrent runs of the same request never share
-// mutable state.
-func (r *SimRequest) Config() (sim.Config, error) {
-	if r.TaskSet == nil {
-		return sim.Config{}, fmt.Errorf("server: task_set is required")
-	}
-	if err := r.TaskSet.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	if r.Policy == "" {
-		return sim.Config{}, fmt.Errorf("server: policy is required")
-	}
-	pol, err := policies.New(r.Policy)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	proc, err := r.Processor.Build()
-	if err != nil {
-		return sim.Config{}, err
-	}
-	gen, err := r.Workload.Build()
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if r.Horizon < 0 || math.IsNaN(r.Horizon) || math.IsInf(r.Horizon, 0) {
-		return sim.Config{}, fmt.Errorf("server: invalid horizon %v", r.Horizon)
-	}
-	return sim.Config{
-		TaskSet:         r.TaskSet,
-		Processor:       proc,
-		Policy:          pol,
-		Workload:        gen,
-		Horizon:         r.Horizon,
-		StrictDeadlines: r.Strict,
-		JitterSeed:      r.JitterSeed,
-	}, nil
-}
-
-// ScenarioKey returns the canonical content hash of a request:
-// identical simulation inputs — task set, processor, policy,
-// workload, horizon, jitter seed, strictness — hash identically
-// regardless of JSON field order or whitespace in the original
-// request body. encoding/json marshals struct fields in declaration
-// order, so the serialization is canonical by construction.
-//
-// The key is shared infrastructure: the daemon's result cache indexes
-// by it (CacheKey) and the dvsfleet coordinator consistent-hashes it
-// onto workers, so routing and caching can never disagree — the
-// worker a scenario routes to is exactly the worker whose cache holds
-// its result. The hash is pinned by a golden test
-// (scenariokey_test.go): changing the canonical form invalidates
-// every deployed cache AND reshuffles fleet routing, so it must be a
-// deliberate, versioned decision, never an accident.
-func ScenarioKey(r *SimRequest) (string, error) {
-	canon := struct {
-		TaskSet    *rtm.TaskSet
-		Policy     string
-		Processor  ProcessorSpec
-		Workload   WorkloadSpec
-		Horizon    float64
-		JitterSeed uint64
-		Strict     bool
-		Audit      bool
-	}{r.TaskSet, policies.SpecOf(policyDisplayName(r.Policy)), r.Processor,
-		r.Workload, r.Horizon, r.JitterSeed, r.Strict, r.Audit}
-	if canon.Policy == "" {
-		canon.Policy = r.Policy
-	}
-	b, err := json.Marshal(canon)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// CacheKey is the result cache's index: an alias of ScenarioKey kept
-// as a method for the cache and pool call sites.
-func (r *SimRequest) CacheKey() (string, error) { return ScenarioKey(r) }
+// ScenarioKey returns the canonical content hash of a request (see
+// wire.ScenarioKey): the result cache's index and the dvsfleet
+// routing key.
+func ScenarioKey(r *SimRequest) (string, error) { return wire.ScenarioKey(r) }
 
 // RequestFromConfig inverts Config for configurations assembled from
 // the shipped building blocks (registered policies, cubic/alpha/table
 // processors, shipped workload generators). It is how cmd/dvsexp
 // -addr converts the experiment harness's in-memory configurations
 // into daemon requests; configurations with no wire form — custom
-// policies, observers, fixed-priority overrides — return an error and
-// the caller falls back to in-process execution.
+// policies, observers, fixed-priority overrides, activity windows —
+// return an error and the caller falls back to in-process execution.
 func RequestFromConfig(cfg sim.Config) (SimRequest, error) {
 	if cfg.Observer != nil {
 		return SimRequest{}, fmt.Errorf("server: config with an Observer has no wire form")
 	}
 	if len(cfg.FixedPriorities) != 0 {
 		return SimRequest{}, fmt.Errorf("server: fixed-priority config has no wire form")
+	}
+	if len(cfg.ActiveWindows) != 0 {
+		return SimRequest{}, fmt.Errorf("server: config with activity windows has no wire form")
 	}
 	if cfg.Policy == nil {
 		return SimRequest{}, fmt.Errorf("server: config has no policy")
@@ -194,17 +78,6 @@ func RequestFromConfig(cfg sim.Config) (SimRequest, error) {
 		JitterSeed: cfg.JitterSeed,
 		Strict:     cfg.StrictDeadlines,
 	}, nil
-}
-
-// policyDisplayName resolves a spec to the display name of the policy
-// it constructs (empty when the spec is unknown), collapsing aliases
-// like "greedy" and "lpshe-greedy" onto one cache key.
-func policyDisplayName(spec string) string {
-	p, err := policies.New(spec)
-	if err != nil {
-		return ""
-	}
-	return p.Name()
 }
 
 // ProcessorSpec is the wire form of a cpu.Processor. It is an alias
@@ -338,6 +211,31 @@ type BatchRequest struct {
 	// Sweep, when non-nil, generates a (utilization × policy × seed)
 	// grid of runs over synthetic task sets.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
+}
+
+// Expand resolves the batch into its validated runs: Runs followed by
+// the expanded Sweep, at least one and at most MaxBatchRuns.
+func (b *BatchRequest) Expand() ([]SimRequest, error) {
+	runs := b.Runs
+	if b.Sweep != nil {
+		expanded, err := b.Sweep.Expand()
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, expanded...)
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("server: job has no runs")
+	}
+	if len(runs) > MaxBatchRuns {
+		return nil, fmt.Errorf("server: job has %d runs, limit %d", len(runs), MaxBatchRuns)
+	}
+	for i := range runs {
+		if err := runs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
+		}
+	}
+	return runs, nil
 }
 
 // SweepSpec is a compact server-side experiment description: for each

@@ -5,10 +5,51 @@ import (
 	"reflect"
 	"testing"
 
+	"dvsslack/internal/audit"
 	"dvsslack/internal/cpu"
 	"dvsslack/internal/sim"
 	"dvsslack/internal/workload"
 )
+
+// TestRequestFromConfigRejectsUnwireable: a config carrying something
+// the wire form cannot express fails conversion, so dvsexp -addr runs
+// it in process instead of sending a request that silently drops it.
+func TestRequestFromConfigRejectsUnwireable(t *testing.T) {
+	plain := func() sim.Config {
+		req := quickstartRequest("lpshe")
+		cfg, err := req.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	if _, err := RequestFromConfig(plain()); err != nil {
+		t.Fatalf("plain config: %v", err)
+	}
+	n := len(plain().TaskSet.Tasks)
+	cases := []struct {
+		name string
+		edit func(*sim.Config)
+	}{
+		{"observer", func(c *sim.Config) {
+			c.Observer = audit.New(audit.Options{TaskSet: c.TaskSet, Processor: c.Processor})
+		}},
+		{"fixed priorities", func(c *sim.Config) {
+			c.FixedPriorities = make([]int, n)
+		}},
+		{"activity windows", func(c *sim.Config) {
+			c.ActiveWindows = make([][]sim.Window, n)
+			c.ActiveWindows[0] = []sim.Window{{Start: 0, End: 40}}
+		}},
+	}
+	for _, tc := range cases {
+		cfg := plain()
+		tc.edit(&cfg)
+		if req, err := RequestFromConfig(cfg); err == nil {
+			t.Errorf("%s: converted to %+v, want an error", tc.name, req)
+		}
+	}
+}
 
 // TestProcessorSpecRoundTrip: SpecFromProcessor(Build(spec)) must
 // reproduce the processor for every preset and for hand-built specs.

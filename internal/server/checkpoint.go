@@ -295,13 +295,13 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 	doc, err := s.jobs.Checkpoint(r.Context(), id)
 	switch {
 	case errors.Is(err, errNoSuchJob):
-		writeError(w, http.StatusNotFound, "server: no such job %q", id)
+		WriteError(w, http.StatusNotFound, "server: no such job %q", id)
 		return
 	case err != nil:
 		// The pause did not settle within the request deadline; the
 		// job keeps running, the client can retry.
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: checkpoint did not settle: %v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "server: checkpoint did not settle: %v", err)
 		return
 	}
 	s.met.checkpoints.Inc()
@@ -314,7 +314,7 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleRestoreJob answers POST /v1/jobs/restore: validate a
@@ -325,15 +325,15 @@ func (s *Server) handleRestoreJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc JobCheckpoint
-	if !s.decodeBody(w, r, &doc) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &doc) {
 		return
 	}
 	j, err := s.jobs.Restore(s.baseCtx, &doc)
 	if err != nil {
 		s.met.restores.With("error").Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.met.restores.With("ok").Inc()
-	writeJSON(w, http.StatusAccepted, j.info(false))
+	WriteJSON(w, http.StatusAccepted, j.info(false))
 }

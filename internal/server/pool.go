@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dvsslack/internal/audit"
 	"dvsslack/internal/obs"
 	"dvsslack/internal/sim"
 	"dvsslack/internal/snapshot"
@@ -136,7 +135,7 @@ func (w *work) settle(data []byte, err error) {
 
 // pool executes simulations on a fixed set of worker goroutines fed
 // by a bounded queue. Each run constructs its own policy, processor,
-// and workload values from the wire request (SimRequest.Config), so
+// and workload values from the wire request (SimRequest.Lower), so
 // workers share no mutable simulation state — the pool is race-clean
 // by construction rather than by locking.
 type pool struct {
@@ -204,24 +203,22 @@ func (p *pool) execute(w *work) outcome {
 			return outcome{res: res}
 		}
 	}
-	cfg, err := w.req.Config()
-	if err != nil {
-		w.settle(nil, err)
-		return outcome{err: err}
-	}
-	var aud *audit.Auditor
-	if w.req.Audit {
-		aud = audit.New(audit.Options{TaskSet: cfg.TaskSet, Processor: cfg.Processor})
-		cfg.Observer = aud
-	}
 	// Decision flight recorder: chained after the auditor when both
 	// are on. Observers are passive (they only read engine state the
 	// callbacks already expose), so attaching one cannot change the
 	// simulation's bytes — pinned by TestSimulateTracingInert.
 	var fo *obs.FlightObserver
+	var flight func(sim.Policy) sim.Observer
 	if p.flight != nil {
-		fo = p.flight.Observer(cfg.Policy)
-		cfg.Observer = obs.Multi(cfg.Observer, fo)
+		flight = func(pol sim.Policy) sim.Observer {
+			fo = p.flight.Observer(pol)
+			return fo
+		}
+	}
+	cfg, aud, err := w.req.Lower(flight)
+	if err != nil {
+		w.settle(nil, err)
+		return outcome{err: err}
 	}
 	start := time.Now()
 	var env *snapshot.Envelope

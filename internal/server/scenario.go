@@ -10,6 +10,32 @@ import (
 	"dvsslack/internal/scenario"
 )
 
+// ReadScenario reads a scenario document (YAML or JSON, sniffed) of
+// at most maxBytes from the request body and validates it, returning
+// the document and its raw bytes. When it cannot, it answers the
+// request itself: 413 for an oversized body, 400 listing every
+// validation error.
+func ReadScenario(w http.ResponseWriter, r *http.Request, maxBytes int64) (*scenario.Document, []byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		writeBodyError(w, "reading scenario body", err)
+		return nil, nil, false
+	}
+	doc, errs := scenario.Parse("scenario", body)
+	if len(errs) > 0 {
+		msgs := make([]string, len(errs))
+		for i, e := range errs {
+			msgs[i] = e.Error()
+		}
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{
+			Error:  fmt.Sprintf("scenario failed validation with %d error(s): %s", len(errs), msgs[0]),
+			Errors: msgs,
+		})
+		return nil, nil, false
+	}
+	return doc, body, true
+}
+
 // handleScenario answers POST /v1/scenario: execute a declarative
 // scenario document (YAML or JSON, sniffed from the body) and return
 // its verdict. The response body is the verdict's canonical byte
@@ -22,21 +48,8 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading scenario body: %v", err)
-		return
-	}
-	doc, errs := scenario.Parse("scenario", body)
-	if len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		writeJSON(w, http.StatusBadRequest, ErrorBody{
-			Error:  fmt.Sprintf("scenario failed validation with %d error(s): %s", len(errs), msgs[0]),
-			Errors: msgs,
-		})
+	doc, _, ok := ReadScenario(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	// Scenario runs execute on the request goroutine (one audited
@@ -44,22 +57,22 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// many run at once, exactly like synchronous /v1/simulate.
 	if err := s.admit.TryAcquire(); err != nil {
 		s.met.shed.Inc()
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	defer s.admit.Release()
 	v, err := scenario.Execute(r.Context(), doc)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDeadlineExceeded)
 		return
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		WriteError(w, http.StatusRequestTimeout, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	s.met.scenariosRun.Inc()

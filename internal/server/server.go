@@ -98,6 +98,7 @@ type Server struct {
 	log     *slog.Logger
 	mux     *http.ServeMux
 	handler http.Handler // mux behind recovery (and chaos) middleware
+	edge    Edge
 
 	admit      *resilience.Limiter // sync-request admission budget
 	sseTimeout time.Duration
@@ -140,18 +141,31 @@ func New(cfg Config) *Server {
 	s.pool = newPool(workers, cfg.QueueDepth, s.cache, s.met, s.tracer, s.flight)
 	s.jobs = newJobStore(s.pool, s.met)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
+	s.edge = Edge{
+		Service: "dvsd",
+		Tracer:  s.tracer,
+		Log:     s.log,
+		Timeout: cfg.RequestTimeout,
+		Record: func(label string, ok bool, dur time.Duration, timedOut bool) {
+			if timedOut {
+				s.met.reqTimeouts.Inc()
+			}
+			s.met.request(label, ok)
+			s.met.httpDone(label, dur)
+		},
+	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", s.instrument("scenario", s.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs.create", s.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs.list", s.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs.get", s.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs.cancel", s.handleCancelJob))
-	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.instrument("jobs.checkpoint", s.handleCheckpointJob))
-	mux.HandleFunc("POST /v1/jobs/restore", s.instrument("jobs.restore", s.handleRestoreJob))
+	mux.HandleFunc("POST /v1/simulate", s.edge.Instrument("simulate", s.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", s.edge.Instrument("scenario", s.handleScenario))
+	mux.HandleFunc("POST /v1/jobs", s.edge.Instrument("jobs.create", s.handleCreateJob))
+	mux.HandleFunc("GET /v1/jobs", s.edge.Instrument("jobs.list", s.handleListJobs))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.edge.Instrument("jobs.get", s.handleGetJob))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.edge.Instrument("jobs.cancel", s.handleCancelJob))
+	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.edge.Instrument("jobs.checkpoint", s.handleCheckpointJob))
+	mux.HandleFunc("POST /v1/jobs/restore", s.edge.Instrument("jobs.restore", s.handleRestoreJob))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", s.instrument("policies", s.handlePolicies))
+	mux.HandleFunc("GET /v1/policies", s.edge.Instrument("policies", s.handlePolicies))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -265,7 +279,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// --- plumbing ---
+// --- plumbing (shared with the dvsfleet coordinator) ---
 
 // statusWriter records the response code for metrics.
 type statusWriter struct {
@@ -282,12 +296,35 @@ func (w *statusWriter) WriteHeader(code int) {
 // deadlines) working through the wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// requestDeadline resolves the effective deadline of one request:
-// the tighter of the server-wide RequestTimeout and the client's
-// X-Request-Deadline header (a Go duration, e.g. "750ms"). 0 means
-// unbounded.
-func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
-	d := s.cfg.RequestTimeout
+// ErrDeadlineExceeded answers (503 + Retry-After) a request whose
+// deadline — the server-wide timeout or the client's
+// X-Request-Deadline — expired before its answer was ready.
+var ErrDeadlineExceeded = errors.New("server: request deadline exceeded")
+
+// Edge is the per-request HTTP plumbing dvsd and the dvsfleet
+// coordinator share, so a client cannot tell one from the other:
+// request IDs, trace context, X-Request-Deadline enforcement, access
+// logs, and per-endpoint request metrics.
+type Edge struct {
+	// Service prefixes handler span names ("dvsd", "dvsfleet").
+	Service string
+	// Tracer records handler spans; nil records none (inbound trace
+	// context still propagates).
+	Tracer *obs.Tracer
+	Log    *slog.Logger
+	// Timeout bounds every instrumented request; 0 leaves only the
+	// client's X-Request-Deadline.
+	Timeout time.Duration
+	// Record counts one finished request: ok is false for a status of
+	// 400 or more, timedOut reports that its deadline expired.
+	Record func(label string, ok bool, dur time.Duration, timedOut bool)
+}
+
+// deadline resolves the effective deadline of one request: the
+// tighter of Timeout and the client's X-Request-Deadline header (a Go
+// duration, e.g. "750ms"). 0 means unbounded.
+func (e *Edge) deadline(r *http.Request) (time.Duration, error) {
+	d := e.Timeout
 	if h := r.Header.Get("X-Request-Deadline"); h != "" {
 		cd, err := time.ParseDuration(h)
 		if err != nil || cd <= 0 {
@@ -300,15 +337,17 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// instrument wraps a handler with request counting, latency
-// recording, per-request deadline enforcement, and request-ID access
-// logging. A valid inbound X-Request-ID (a coordinator hop or a
-// client-supplied ID) is adopted so fleet logs correlate; otherwise a
-// fresh ID is minted. Either way the ID is returned in X-Request-ID.
-// An inbound traceparent header is continued: the handler runs inside
-// a server span (when tracing is on) and the request context carries
-// the span context for the simulation pool and outbound calls.
-func (s *Server) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
+// Instrument wraps a handler with request counting, latency
+// recording, per-request deadline enforcement (a malformed
+// X-Request-Deadline is answered 400), and request-ID access logging.
+// A valid inbound X-Request-ID (a coordinator hop or a client-supplied
+// ID) is adopted so fleet logs correlate; otherwise a fresh ID is
+// minted. Either way the ID is returned in X-Request-ID. An inbound
+// traceparent header is continued: the handler runs inside a span
+// (when tracing is on) and the request context carries the request
+// ID, the span context, and the deadline into the simulation pool and
+// outbound calls.
+func (e *Edge) Instrument(label string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if !obs.ValidRequestID(id) {
@@ -316,14 +355,15 @@ func (s *Server) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		deadline, err := s.requestDeadline(r)
+		handle := h
+		deadline, err := e.deadline(r)
 		if err != nil {
-			s.met.request(label, false)
-			writeError(sw, http.StatusBadRequest, "%v", err)
-			return
+			handle = func(w http.ResponseWriter, _ *http.Request) {
+				WriteError(w, http.StatusBadRequest, "%v", err)
+			}
 		}
 		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		span := s.tracer.StartSpan(parent, "dvsd."+label) // nil-safe: nil span when tracing is off
+		span := e.Tracer.StartSpan(parent, e.Service+"."+label) // nil-safe: nil span when tracing is off
 		sc := span.Context()
 		if !sc.Valid() {
 			sc = parent // propagate the inbound context even with recording off
@@ -339,13 +379,9 @@ func (s *Server) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		r = r.WithContext(ctx)
 		start := time.Now()
-		h(sw, r)
+		handle(sw, r)
 		dur := time.Since(start)
-		if deadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.met.reqTimeouts.Inc()
-		}
-		s.met.request(label, sw.code < 400)
-		s.met.httpDone(label, dur)
+		e.Record(label, sw.code < 400, dur, deadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded))
 		span.SetAttr("endpoint", label)
 		span.SetAttr("status", strconv.Itoa(sw.code))
 		span.SetAttr("request_id", id)
@@ -361,11 +397,12 @@ func (s *Server) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
 		if sc.Valid() {
 			attrs = append(attrs, slog.String("trace", sc.TraceID.String()))
 		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+		e.Log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON response body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -373,41 +410,55 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, ErrorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the ErrorBody envelope every non-2xx response
+// uses.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// writeBodyError answers a request body that could not be read: 413
+// when it exceeded the body-size limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, code, "%s: %v", what, err)
+}
+
+// DecodeBody strictly decodes a JSON request body of at most maxBytes
+// into v, answering the request itself (413 or 400) when it cannot.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		writeBodyError(w, "invalid request body", err)
 		return false
 	}
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid request body: trailing data")
+		WriteError(w, http.StatusBadRequest, "invalid request body: trailing data")
 		return false
 	}
 	io.Copy(io.Discard, body)
 	return true
 }
 
-// drainRetryAfter is the Retry-After hint (seconds) on draining 503s:
+// DrainRetryAfter is the Retry-After hint (seconds) on draining 503s:
 // long enough for a load balancer to fail over, short enough that a
 // client retrying the same address after a rolling restart succeeds.
-const drainRetryAfter = "5"
+const DrainRetryAfter = "5"
 
-// shedRetryAfter is the Retry-After hint (seconds) on shed (429) and
+// ShedRetryAfter is the Retry-After hint (seconds) on shed (429) and
 // deadline-exceeded (503) responses: overload is expected to clear on
 // the scale of in-flight run latency, not process lifetime.
-const shedRetryAfter = "1"
+const ShedRetryAfter = "1"
 
 func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 		return true
 	}
 	return false
@@ -425,15 +476,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SimRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if res, ok := s.pool.Lookup(&req); ok {
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	admitStart := time.Now()
@@ -446,31 +497,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.met.shed.Inc()
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	defer s.admit.Release()
 	res, err := s.pool.Do(r.Context(), &req)
 	switch {
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-request deadline (server -request-timeout or client
 		// X-Request-Deadline) expired before a worker finished the
 		// run: the work is abandoned to the cache and the client is
 		// told to come back.
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDeadlineExceeded)
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		WriteError(w, http.StatusRequestTimeout, "%v", err)
 	case err != nil:
 		// The request validated but the run failed (e.g. a strict
 		// deadline miss): the fault is in the requested scenario.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	}
 }
 
@@ -480,39 +531,21 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	runs := req.Runs
-	if req.Sweep != nil {
-		expanded, err := req.Sweep.Expand()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		runs = append(runs, expanded...)
-	}
-	if len(runs) == 0 {
-		writeError(w, http.StatusBadRequest, "server: job has no runs")
+	runs, err := req.Expand()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if len(runs) > MaxBatchRuns {
-		writeError(w, http.StatusBadRequest, "server: job has %d runs, limit %d", len(runs), MaxBatchRuns)
-		return
-	}
-	for i := range runs {
-		if err := runs[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "run %d: %v", i, err)
-			return
-		}
 	}
 	j := s.jobs.Create(s.baseCtx, req.Name, runs)
-	writeJSON(w, http.StatusAccepted, j.info(false))
+	WriteJSON(w, http.StatusAccepted, j.info(false))
 }
 
 // handleListJobs answers GET /v1/jobs.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.List())
+	WriteJSON(w, http.StatusOK, s.jobs.List())
 }
 
 // handleGetJob answers GET /v1/jobs/{id}; ?results=1 includes per-run
@@ -520,17 +553,17 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
 		return
 	}
 	withResults := r.URL.Query().Get("results") != ""
-	writeJSON(w, http.StatusOK, j.info(withResults))
+	WriteJSON(w, http.StatusOK, j.info(withResults))
 }
 
 // handleCancelJob answers DELETE /v1/jobs/{id}.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	if !s.jobs.Cancel(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -545,7 +578,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
 		s.met.request("jobs.events", false)
 		return
 	}
@@ -588,7 +621,7 @@ func (s *httpSSESink) Flush() error {
 
 // handlePolicies answers GET /v1/policies with the registry names.
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"policies": policies.Names(),
 		"wrappers": []string{"crit", "dual", "guard"},
 	})
@@ -596,7 +629,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics answers GET /metrics with a JSON snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.met.snapshot(s.workers, s.cache))
+	WriteJSON(w, http.StatusOK, s.met.snapshot(s.workers, s.cache))
 }
 
 // handleMetricsProm answers GET /metrics.prom with the Prometheus
@@ -610,20 +643,20 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 // ring as JSON; 404 when tracing is disabled (no -trace-buffer).
 func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "server: tracing disabled (start dvsd with -trace-buffer)")
+		WriteError(w, http.StatusNotFound, "server: tracing disabled (start dvsd with -trace-buffer)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.tracer.Dump())
+	WriteJSON(w, http.StatusOK, s.tracer.Dump())
 }
 
 // handleFlightRecorder answers GET /debug/flightrecorder with the
 // decision flight recorder snapshot; 404 when disabled (-flight -1).
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
+		WriteError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
+	WriteJSON(w, http.StatusOK, s.flight.Snapshot())
 }
 
 // handleFlightTrace answers GET /debug/flightrecorder.trace with the
@@ -631,7 +664,7 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 // decision instants + flow chain, loadable in Perfetto).
 func (s *Server) handleFlightTrace(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
+		WriteError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -642,11 +675,11 @@ func (s *Server) handleFlightTrace(w http.ResponseWriter, r *http.Request) {
 // handleHealthz answers GET /healthz (liveness: the process serves).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz answers GET /readyz (readiness: this instance should
@@ -656,17 +689,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // would be shed.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	inUse, capacity := s.admit.InUse(), s.admit.Capacity()
 	if highWater := (capacity*9 + 9) / 10; inUse >= highWater {
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "saturated", "admitted": inUse, "capacity": capacity,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

@@ -188,6 +188,23 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge413 pins the documented 413 for a body over
+// MaxBodyBytes on every body-reading endpoint.
+func TestBodyTooLarge413(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 256})
+	body := `{"policy": "` + strings.Repeat("x", 1024) + `"}`
+	for _, path := range []string{"/v1/simulate", "/v1/jobs", "/v1/scenario"} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body status = %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestStrictMissIs422: a valid request whose scenario fails (strict
 // deadline miss on an infeasible set) is the requester's fault, not a
 // validation error.

@@ -1,16 +1,17 @@
-// Package wire holds the serializable building-block specs shared by
-// every layer that describes simulations as data: the dvsd daemon's
-// request schema (internal/server), the fuzz harness's reproducer
-// corpus (internal/fuzz), and the declarative scenario documents
-// (internal/scenario).
+// Package wire holds the run spec and the serializable building-block
+// specs shared by every layer that describes simulations as data: the
+// dvsd daemon's request schema (internal/server) and the declarative
+// scenario documents (internal/scenario), which the fuzz harness
+// generates. SimRequest.Lower is the one place a spec becomes a
+// sim.Config.
 //
 // The specs live below internal/server so that packages the server
 // itself builds on (notably internal/scenario, which the daemon
 // executes behind /v1/scenario) can speak the same wire vocabulary
 // without an import cycle. internal/server re-exports the types under
-// their historical names (server.ProcessorSpec, server.WorkloadSpec)
-// as aliases, so existing callers and the canonical ScenarioKey hash
-// are unchanged.
+// their historical names (server.SimRequest, server.ProcessorSpec,
+// server.WorkloadSpec) as aliases, so existing callers and the
+// canonical ScenarioKey hash are unchanged.
 package wire
 
 import (

@@ -23,14 +23,18 @@
 # pass (dvsscen validates and replays the whole scenarios/ corpus
 # with assertions enforced, and one document must produce
 # byte-identical verdicts via dvsscen run, dvsd /v1/scenario, and the
-# dvsfleet coordinator), and a dvscheck audit pass (corpus replay,
-# oracle self-test, and a 25-configuration fuzz smoke).
+# dvsfleet coordinator, and dvscheck -replay must print the same
+# verdict bytes as dvsscen run -json), and a dvscheck audit pass
+# (corpus replay, oracle self-test, and a 25-document fuzz smoke).
 set -eu
 
 cd "$(dirname "$0")"
 
 echo "==> go vet ./..."
 go vet ./...
+# perfbench is a separate module that root `go build ./...` skips;
+# vetting it catches exported-API changes that break the benchmark.
+(cd perfbench && go vet .)
 
 echo "==> go build ./..."
 go build ./...
@@ -621,15 +625,17 @@ if [ "$N_DOCS" -lt 10 ]; then
     echo "FAIL: scenario corpus has $N_DOCS documents, want >= 10" >&2
     exit 1
 fi
-# convert round-trip: a fuzz corpus entry lifted to a scenario must
-# itself validate and replay green (its fingerprint assertion pins
-# the entry's recorded failure set).
-"$SCEN_BIN" convert -out "$SCEN_TMP" internal/fuzz/testdata/corpus/repro-overload-min.json >/dev/null
-"$SCEN_BIN" run "$SCEN_TMP/repro-overload-min.yaml" >/dev/null || {
-    echo "FAIL: converted fuzz entry does not replay to its fingerprint" >&2
+# One run path: dvscheck -replay of a reproducer document must print
+# exactly the verdict bytes dvsscen run -json prints for it.
+REPRO_DOC=scenarios/repro-overload-min.yaml
+go run ./cmd/dvscheck -replay "$REPRO_DOC" >"$SCEN_TMP/replay.json"
+"$SCEN_BIN" run -json "$REPRO_DOC" >"$SCEN_TMP/run.json"
+cmp -s "$SCEN_TMP/replay.json" "$SCEN_TMP/run.json" || {
+    echo "FAIL: dvscheck -replay verdict differs from dvsscen run -json" >&2
+    diff "$SCEN_TMP/replay.json" "$SCEN_TMP/run.json" >&2 || true
     exit 1
 }
-echo "    scenario pass OK ($N_DOCS documents validated and replayed, convert round-trip green)"
+echo "    scenario pass OK ($N_DOCS documents validated and replayed, dvscheck -replay byte-identical)"
 
 echo "==> dvscheck audit pass"
 # Corpus replay + mutation self-test (the default modes), then a
