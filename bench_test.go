@@ -213,10 +213,11 @@ func BenchmarkAnalyzerSlack(b *testing.B) {
 // BenchmarkEngineDecision measures the engine's per-scheduling-point
 // cost under the full slack-analysis policy: one hyperperiod run per
 // iteration, with the per-decision cost reported as the ns/decision
-// metric. The allocs/op column tracks whole-run allocations (job
-// states plus setup); the steady-state per-decision path itself is
-// pinned allocation-free by the internal/sim and internal/core
-// regression tests.
+// metric. The allocs/op column tracks whole-run allocations: engine
+// and policy setup plus one job state per concurrently live job (the
+// engine recycles completed ones). The per-decision path and the job
+// lifecycle are pinned allocation-free by the internal/sim and
+// internal/core regression tests.
 func BenchmarkEngineDecision(b *testing.B) {
 	ts := rtm.MustGenerate(rtm.DefaultGenConfig(8, 0.7, 1))
 	gen := workload.Uniform{Lo: 0.5, Hi: 1, Seed: 1}

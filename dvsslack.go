@@ -63,7 +63,11 @@ type (
 	Result = sim.Result
 	// Policy selects execution speeds at scheduling points.
 	Policy = sim.Policy
-	// JobState is a released job plus execution progress.
+	// JobState is a released job plus execution progress. A
+	// *JobState is valid from its release until its completion hooks
+	// return; the engine then reuses the struct for a later release,
+	// so a Policy or observer must not keep the pointer past
+	// OnComplete/ObserveComplete.
 	JobState = sim.JobState
 	// System is the policy-facing view of a running simulation.
 	System = sim.System

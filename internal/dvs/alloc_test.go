@@ -75,3 +75,42 @@ func TestLAEDFSortMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestDRAZeroSteadyStateAllocs pins DRA's whole job lifecycle —
+// release, select, advance, complete — to zero allocations once Reset
+// has sized the alpha queue: entries are values in a reused slice,
+// not a heap object and a list element per release.
+func TestDRAZeroSteadyStateAllocs(t *testing.T) {
+	ts := rtm.MustGenerate(rtm.DefaultGenConfig(8, 0.7, 3))
+	p := &DRA{}
+	p.Reset(&allocSystem{ts: ts})
+	jobs := make([]sim.JobState, ts.N()) // recycled every cycle, as the engine does
+	// Each canonical allowance Cᵢ/U is at most Tᵢ, so advancing by
+	// n·max(T) lets the canonical schedule drain the queue.
+	drain := float64(ts.N()) * ts.MaxPeriod()
+	k := 0
+	cycle := func() {
+		for i := range jobs {
+			jobs[i] = sim.JobState{Job: ts.JobOf(i, k)}
+			p.OnRelease(&jobs[i])
+		}
+		for i := range jobs {
+			j := &jobs[i]
+			if s := p.SelectSpeed(j); !(s > 0) {
+				t.Fatalf("speed %v", s)
+			}
+			p.OnAdvance(j.WCET / 2)
+			j.Executed = j.WCET / 2
+			p.OnComplete(j)
+		}
+		p.OnAdvance(drain)
+		k++
+	}
+	cycle()
+	if len(p.queue) != 0 {
+		t.Fatalf("%d entries left after a cycle: not a steady state", len(p.queue))
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a release/select/advance/complete cycle allocates %v, want 0", allocs)
+	}
+}

@@ -1,8 +1,8 @@
 package dvs
 
 import (
-	"container/list"
 	"math"
+	"slices"
 
 	"dvsslack/internal/sim"
 )
@@ -35,15 +35,17 @@ import (
 type DRA struct {
 	sys    sim.System
 	static float64
-	queue  *list.List // of *alphaEntry, ascending by deadline
-	byJob  map[*sim.JobState]*alphaEntry
+	// queue is the alpha queue, ascending by deadline with ties in
+	// release order. It is a slice of values whose backing array is
+	// reused, so releases, consumption and completions allocate
+	// nothing once it has grown to the run's peak length.
+	queue []alphaEntry
 }
 
 type alphaEntry struct {
 	deadline float64
-	rem      float64 // remaining canonical execution time
-	job      *sim.JobState
-	done     bool // the actual job completed
+	rem      float64       // remaining canonical execution time
+	job      *sim.JobState // nil once the actual job completed
 }
 
 // Name implements sim.Policy.
@@ -53,51 +55,60 @@ func (*DRA) Name() string { return "DRA" }
 func (p *DRA) Reset(sys sim.System) {
 	p.sys = sys
 	p.static = math.Max(sys.TaskSet().Utilization(), sys.Processor().SMin)
-	p.queue = list.New()
-	p.byJob = make(map[*sim.JobState]*alphaEntry)
+	// Room for a live and a done (not yet consumed) entry per task,
+	// the usual peak.
+	p.queue = make([]alphaEntry, 0, 2*sys.TaskSet().N())
 }
 
 // OnRelease implements sim.Policy.
 func (p *DRA) OnRelease(j *sim.JobState) {
-	e := &alphaEntry{deadline: j.AbsDeadline, rem: j.WCET / p.static, job: j}
-	p.byJob[j] = e
-	// Insert ordered by deadline (ties keep FIFO order, matching the
-	// engine's deterministic EDF tie-break closely enough for the
-	// canonical accounting).
-	for el := p.queue.Back(); el != nil; el = el.Prev() {
-		if el.Value.(*alphaEntry).deadline <= e.deadline {
-			p.queue.InsertAfter(e, el)
-			return
-		}
+	// Insert ordered by deadline, searching from the back; ties go
+	// after equal deadlines (FIFO), matching the engine's
+	// deterministic EDF tie-break closely enough for the canonical
+	// accounting.
+	i := len(p.queue)
+	for i > 0 && p.queue[i-1].deadline > j.AbsDeadline {
+		i--
 	}
-	p.queue.PushFront(e)
+	p.queue = slices.Insert(p.queue, i, alphaEntry{deadline: j.AbsDeadline, rem: j.WCET / p.static, job: j})
 }
 
-// OnComplete implements sim.Policy.
+// OnComplete implements sim.Policy. The entry stays queued — its
+// canonical time is now earliness — but drops the job pointer, which
+// the engine recycles for a later release.
 func (p *DRA) OnComplete(j *sim.JobState) {
-	if e, ok := p.byJob[j]; ok {
-		e.done = true
-		delete(p.byJob, j)
+	if k := p.entryOf(j); k >= 0 {
+		p.queue[k].job = nil
 	}
+}
+
+// entryOf returns the queue index of j's own entry, or -1 once the
+// canonical schedule has consumed it.
+func (p *DRA) entryOf(j *sim.JobState) int {
+	for k := range p.queue {
+		if p.queue[k].job == j {
+			return k
+		}
+	}
+	return -1
 }
 
 // OnAdvance implements sim.Policy: consume canonical execution time
 // from the head of the alpha queue (earliest deadline first), exactly
 // as the canonical processor would spend it.
 func (p *DRA) OnAdvance(dt float64) {
-	for dt > 0 && p.queue.Len() > 0 {
-		el := p.queue.Front()
-		e := el.Value.(*alphaEntry)
+	n := 0
+	for dt > 0 && n < len(p.queue) {
+		e := &p.queue[n]
 		if e.rem > dt {
 			e.rem -= dt
-			return
+			break
 		}
 		dt -= e.rem
-		e.rem = 0
-		p.queue.Remove(el)
-		if !e.done {
-			delete(p.byJob, e.job)
-		}
+		n++
+	}
+	if n > 0 {
+		p.queue = p.queue[:copy(p.queue, p.queue[n:])]
 	}
 }
 
@@ -111,27 +122,27 @@ func (p *DRA) SelectSpeed(j *sim.JobState) float64 {
 	// job ran longer than its canonical share) the job must proceed
 	// using only earliness.
 	var own float64
-	ownEntry, haveOwn := p.byJob[j]
-	if haveOwn {
-		own = ownEntry.rem
+	k := p.entryOf(j)
+	if k >= 0 {
+		own = p.queue[k].rem
 	}
 	// Earliness: canonical time still queued ahead of j's own entry
 	// (in canonical EDF order, deadline ties included) whose actual
 	// jobs have completed. The queue is maintained in canonical
 	// order, so "ahead" is simply queue position.
 	var earliness float64
-	for el := p.queue.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*alphaEntry)
-		if e.job == j {
+	for i := range p.queue {
+		e := &p.queue[i]
+		if i == k {
 			break
 		}
-		if !haveOwn && e.deadline >= j.AbsDeadline {
+		if k < 0 && e.deadline >= j.AbsDeadline {
 			// Own entry already consumed: without it as a position
 			// marker, count only strictly earlier deadlines (ties
 			// are ambiguous — stay conservative).
 			break
 		}
-		if !e.done {
+		if e.job != nil {
 			// An incomplete job canonically ahead of j would be
 			// running instead of j under EDF; under the engine's
 			// dispatch rules this cannot happen for strictly earlier

@@ -148,6 +148,45 @@ func TestDRAReclaimsEarliness(t *testing.T) {
 	}
 }
 
+// TestDRADoneEntryDropsJob: a completed job's alpha-queue entry stays
+// queued as earliness, but the engine recycles its *JobState for a
+// later release. Unless OnComplete drops the entry's job pointer, the
+// next job released through that struct finds the stale entry as its
+// own and loses the earliness queued ahead of it.
+func TestDRADoneEntryDropsJob(t *testing.T) {
+	ts := rtm.NewTaskSet("x",
+		rtm.Task{WCET: 1, Period: 4},
+		rtm.Task{WCET: 1, Period: 8},
+	)
+	speed := func(recycle bool) float64 {
+		p := &DRA{}
+		p.Reset(&allocSystem{ts: ts})
+		a := &sim.JobState{Job: ts.JobOf(0, 0)}
+		b := &sim.JobState{Job: ts.JobOf(1, 0)}
+		p.OnRelease(a)
+		p.OnRelease(b)
+		// Both complete having run nothing: their whole canonical
+		// allowances become earliness.
+		p.OnComplete(a)
+		p.OnComplete(b)
+		c := &sim.JobState{}
+		if recycle {
+			c = a
+		}
+		*c = sim.JobState{Job: ts.JobOf(0, 1)} // deadline 8, queued after b
+		p.OnRelease(c)
+		return p.SelectSpeed(c)
+	}
+	// c's own allowance plus a's and b's earliness, each C/U = 1/0.375.
+	want := 1 / (3 / 0.375)
+	if fresh := speed(false); math.Abs(fresh-want) > 1e-12 {
+		t.Fatalf("speed %v, want %v", fresh, want)
+	}
+	if got := speed(true); math.Abs(got-want) > 1e-12 {
+		t.Errorf("through a recycled struct: speed %v, want %v (a done entry kept its job pointer)", got, want)
+	}
+}
+
 func TestDRAWorstCaseEqualsStatic(t *testing.T) {
 	// With worst-case workloads there is no earliness: DRA degrades
 	// exactly to the canonical static speed.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -116,6 +115,11 @@ type Engine struct {
 	curSpeed float64
 	speedSet bool
 	running  *JobState
+
+	// free holds completed job states for newJob to reuse, so a
+	// run allocates one JobState per concurrently live job rather
+	// than one per release (see the JobState lifetime rule).
+	free []*JobState
 
 	res Result
 	err error
@@ -232,10 +236,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		actualNext: make([]float64, n),
 	}
 	e.active.byPriority = len(cfg.FixedPriorities) != 0
-	// Pre-size the ready queue from the task count: with feasible
-	// implicit-deadline sets at most one job per task is live, so the
-	// heap's backing array never reallocates mid-run.
+	// Pre-size the ready queue and the free list from the task
+	// count: with feasible implicit-deadline sets at most one job per
+	// task is live, so neither backing array reallocates mid-run.
 	e.active.jobs = make([]*JobState, 0, n)
+	e.free = make([]*JobState, 0, n)
 	for i := range cfg.TaskSet.Tasks {
 		e.actualNext[i] = e.jitteredRelease(i, 0)
 		e.skipInactive(i)
@@ -494,6 +499,9 @@ func flag(b bool) byte {
 // off on nominal release times so the released job population is
 // identical across jitter seeds.
 func (e *Engine) releaseDue() bool {
+	if e.nextReleaseEvent() > e.t {
+		return false // the cached minimum: no cursor is due
+	}
 	ts := e.cfg.TaskSet
 	released := false
 	for i := range ts.Tasks {
@@ -504,7 +512,7 @@ func (e *Engine) releaseDue() bool {
 			e.actualNext[i] = e.jitteredRelease(i, e.nextIdx[i])
 			e.rel.dirty = true
 			e.skipInactive(i)
-			heap.Push(&e.active, j)
+			e.active.push(j)
 			e.res.JobsReleased++
 			released = true
 			e.cfg.Policy.OnRelease(j)
@@ -530,7 +538,14 @@ func (e *Engine) newJob(task, idx int, release float64) *JobState {
 		aet = 1e-9
 	}
 	job.AET = aet
-	js := &JobState{Job: job, heapIndex: -1}
+	var js *JobState
+	if k := len(e.free) - 1; k >= 0 {
+		js = e.free[k]
+		e.free = e.free[:k]
+	} else {
+		js = new(JobState)
+	}
+	*js = JobState{Job: job, heapIndex: -1}
 	if len(e.cfg.FixedPriorities) > 0 {
 		js.Priority = float64(e.cfg.FixedPriorities[task])
 	}
@@ -623,7 +638,7 @@ func (e *Engine) advanceIdle(dt float64) {
 }
 
 func (e *Engine) complete(j *JobState) {
-	heap.Remove(&e.active, j.heapIndex)
+	e.active.remove(j.heapIndex)
 	j.Done = true
 	j.Finish = e.t
 	if e.running == j {
@@ -642,6 +657,8 @@ func (e *Engine) complete(j *JobState) {
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.ObserveComplete(e.t, j, missed)
 	}
+	// The completion hooks have returned: j's lifetime is over.
+	e.free = append(e.free, j)
 }
 
 // nearlyEqual compares speeds with a tight relative tolerance so that

@@ -29,6 +29,13 @@ const Eps = 1e-6
 // receive *JobState at hook and dispatch points; they must treat the
 // embedded Job as read-only and may not mutate Executed or Speed
 // (those belong to the engine).
+//
+// Lifetime: a *JobState is valid from its release until its
+// completion hooks (Policy.OnComplete, then Observer.ObserveComplete)
+// return. The engine then recycles the struct for a later release,
+// so any holder of the pointer — a cached current job, a map key, an
+// == comparison — must drop it in its completion hook and copy
+// whatever fields it keeps.
 type JobState struct {
 	rtm.Job
 
@@ -89,14 +96,17 @@ func (j *JobState) Laxity(now float64) float64 {
 // under fixed-priority scheduling it is the job's Priority value.
 // Ties break by release time then task index so schedules are
 // deterministic.
+//
+// push and remove are container/heap's Push and Remove specialized to
+// *JobState, with the same sift steps: the slice order is what
+// ActiveJobs exposes and what the policies' float sums follow, so any
+// other layout could move a reading in its last bit.
 type jobHeap struct {
 	jobs       []*JobState
 	byPriority bool
 }
 
-func (h *jobHeap) Len() int { return len(h.jobs) }
-
-func (h *jobHeap) Less(a, b int) bool {
+func (h *jobHeap) less(a, b int) bool {
 	x, y := h.jobs[a], h.jobs[b]
 	if h.byPriority {
 		if x.Priority != y.Priority {
@@ -111,25 +121,60 @@ func (h *jobHeap) Less(a, b int) bool {
 	return x.TaskIndex < y.TaskIndex
 }
 
-func (h *jobHeap) Swap(a, b int) {
+func (h *jobHeap) swap(a, b int) {
 	h.jobs[a], h.jobs[b] = h.jobs[b], h.jobs[a]
 	h.jobs[a].heapIndex = a
 	h.jobs[b].heapIndex = b
 }
 
-func (h *jobHeap) Push(x any) {
-	j := x.(*JobState)
+func (h *jobHeap) push(j *JobState) {
 	j.heapIndex = len(h.jobs)
 	h.jobs = append(h.jobs, j)
+	h.up(j.heapIndex)
 }
 
-func (h *jobHeap) Pop() any {
-	n := len(h.jobs)
-	j := h.jobs[n-1]
-	h.jobs[n-1] = nil
-	j.heapIndex = -1
-	h.jobs = h.jobs[:n-1]
-	return j
+func (h *jobHeap) remove(i int) {
+	n := len(h.jobs) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	h.jobs[n].heapIndex = -1
+	h.jobs[n] = nil
+	h.jobs = h.jobs[:n]
+}
+
+func (h *jobHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *jobHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // infinity is a convenience alias for +Inf release sentinels.

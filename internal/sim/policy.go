@@ -63,7 +63,10 @@ type Policy interface {
 	OnRelease(j *JobState)
 	// OnComplete notifies the policy that job j has completed;
 	// j.Executed holds the actual work performed and j.Finish the
-	// completion time.
+	// completion time. It is the last hook to receive j: once the
+	// completion hooks return, the engine recycles the struct for a
+	// later release, so the policy must drop every reference to j
+	// here (see JobState).
 	OnComplete(j *JobState)
 	// OnAdvance notifies the policy that dt units of wall-clock
 	// time have elapsed (busy or idle). Called before the
@@ -183,6 +186,10 @@ type DecisionExplainer interface {
 type Observer interface {
 	ObserveRelease(t float64, j *JobState)
 	ObserveDispatch(t float64, j *JobState, speed float64)
+	// ObserveComplete runs after Policy.OnComplete and is the last
+	// callback to receive j: the engine recycles the struct once it
+	// returns, so an observer keeps copies of j's fields, never the
+	// pointer (see JobState).
 	ObserveComplete(t float64, j *JobState, missed bool)
 	ObserveIdle(t0, t1 float64)
 	ObserveSwitch(t, from, to float64)

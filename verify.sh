@@ -51,13 +51,16 @@ go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
 echo "==> perf pass (alloc guards + hot-path smoke)"
 # The AllocsPerRun guards pin the zero-steady-state-allocation
 # property of the analyzer hot path (Analyze, the staircase cycle,
-# SelectSpeed, Counters); then a fixed-count run of the two hot-path
-# benchmarks checks the pinned alloc budgets and an order-of-magnitude
-# latency ceiling. The ceiling is deliberately loose (a full revert of
-# the incremental analyzer trips it; scheduler noise cannot), and the
-# fine-grained 20% gate lives in `./bench.sh -gate` where benchtime is
-# long enough to trust. See BENCH_*.json for the recorded trajectory.
-go test -run 'ZeroSteadyStateAllocs|ZeroAllocs|CountersMapReused' -count=1 ./internal/core/
+# SelectSpeed, Counters), of laEDF's decision and DRA's job cycle,
+# and hold an engine run's allocations to a bound that does not grow
+# with the horizon (job states are recycled); then a fixed-count run
+# of the two hot-path benchmarks checks the pinned alloc budgets and
+# an order-of-magnitude latency ceiling. The ceiling is deliberately
+# loose (a full revert of the incremental analyzer trips it;
+# scheduler noise cannot), and the fine-grained 20% gate lives in
+# `./bench.sh -gate` where benchtime is long enough to trust. See
+# BENCH_*.json for the recorded trajectory.
+go test -run 'SteadyStateAllocs|ZeroAllocs|CountersMapReused' -count=1 ./internal/core/ ./internal/dvs/ ./internal/sim/
 # BenchmarkEngineDecisionFlight shares EngineDecision's budgets via
 # the awk prefix match: the flight recorder must fit inside them.
 PERF_OUT=$(go test -run '^$' -bench '^(BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight)$' -benchtime=100x -benchmem .)
@@ -69,8 +72,8 @@ echo "$PERF_OUT" | awk '
 }
 /^BenchmarkEngineDecision/ {
     for (i = 2; i <= NF; i++) {
-        if ($(i+1) == "allocs/op" && $i + 0 > 160) {
-            printf "FAIL: EngineDecision at %s allocs/op, budget 160\n", $i; bad = 1
+        if ($(i+1) == "allocs/op" && $i + 0 > 64) {
+            printf "FAIL: EngineDecision at %s allocs/op, budget 64\n", $i; bad = 1
         }
         if ($(i+1) == "ns/decision" && $i + 0 > 2000) {
             printf "FAIL: EngineDecision at %s ns/decision, ceiling 2000\n", $i; bad = 1
