@@ -16,7 +16,6 @@ import (
 
 	"dvsslack/client"
 	"dvsslack/internal/obs"
-	"dvsslack/internal/policies"
 	"dvsslack/internal/scenario"
 	"dvsslack/internal/server"
 )
@@ -29,21 +28,8 @@ type Config struct {
 	// HealthInterval is the period of the active health checker
 	// (default 500ms).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one /readyz probe (default 2s).
-	HealthTimeout time.Duration
-	// FailThreshold is the consecutive probe failures that mark a
-	// worker down (default 2). Routing-time transport errors mark a
-	// worker down immediately regardless (passive detection).
-	FailThreshold int
-	// Replicas is the ring's virtual-node count per worker (default
-	// DefaultReplicas).
-	Replicas int
 	// MaxBodyBytes bounds request bodies; <= 0 selects 32 MiB.
 	MaxBodyBytes int64
-	// FanoutWidth bounds how many fleet-job runs are in flight across
-	// the fleet at once; <= 0 selects 4×workers (each dvsd's own pool
-	// and admission control provide the per-worker backpressure).
-	FanoutWidth int
 	// Logger receives structured request and lifecycle logs; nil
 	// discards them.
 	Logger *slog.Logger
@@ -64,17 +50,21 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
 	return c
 }
+
+const (
+	// healthTimeout bounds one /readyz probe, and one worker's answer
+	// to a federated /metrics.prom or /debug/trace collection.
+	healthTimeout = 2 * time.Second
+	// failThreshold is the consecutive probe failures that mark a
+	// worker down. Routing-time transport errors mark a worker down
+	// immediately regardless (passive detection).
+	failThreshold = 2
+)
 
 // ErrNoWorkers is returned when no worker is available to serve a
 // routed request.
@@ -90,15 +80,13 @@ type Coordinator struct {
 	log    *slog.Logger
 	ring   *Ring
 	met    *fleetMetrics
-	jobs   *fleetJobs
 	tracer *obs.Tracer
 
 	mu      sync.RWMutex
 	workers map[string]*worker
 
-	mux     *http.ServeMux
 	handler http.Handler
-	edge    server.Edge
+	front   *server.Front
 
 	draining   atomic.Bool
 	healthCtx  context.Context
@@ -113,7 +101,7 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Replicas),
+		ring:    NewRing(DefaultReplicas),
 		workers: map[string]*worker{},
 		tracer:  cfg.Tracer,
 	}
@@ -125,41 +113,45 @@ func New(cfg Config) *Coordinator {
 		c.workers[addr] = newWorker(addr)
 	}
 	c.met = newFleetMetrics(c)
-	c.jobs = newFleetJobs(c)
 	c.healthCtx, c.healthStop = context.WithCancel(context.Background())
 	c.healthDone = make(chan struct{})
-	c.edge = server.Edge{
-		Service: "dvsfleet",
-		Tracer:  c.tracer,
-		Log:     c.log,
-		Record: func(label string, ok bool, dur time.Duration, _ bool) {
-			c.met.request(label, ok)
-			c.met.httpDone(label, dur)
+	c.front = &server.Front{
+		Edge: server.Edge{
+			Service: "dvsfleet",
+			Tracer:  c.tracer,
+			Log:     c.log,
+			Record: func(label string, ok bool, dur time.Duration, _ bool) {
+				c.met.request(label, ok)
+				c.met.httpDone(label, dur)
+			},
 		},
+		// Fleet jobs keep 4× the worker count of runs in flight: enough
+		// to keep every worker's pool busy, while each dvsd's own
+		// admission control bounds what any one worker takes.
+		Jobs: server.NewJobStore("fj", func() int { return 4 * c.workerCount() }, c.runJob,
+			c.met.jobsCreated, c.met.jobsFinished),
+		Base:         context.Background(),
+		Draining:     &c.draining,
+		NotReady:     c.notReady,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Count:        c.met.request,
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", c.edge.Instrument("simulate", c.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", c.edge.Instrument("scenario", c.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", c.edge.Instrument("jobs.create", c.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", c.edge.Instrument("jobs.list", c.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", c.edge.Instrument("jobs.get", c.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.edge.Instrument("jobs.cancel", c.handleCancelJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", c.edge.Instrument("policies", c.handlePolicies))
-	mux.HandleFunc("GET /v1/cluster", c.edge.Instrument("cluster", c.handleCluster))
-	mux.HandleFunc("POST /v1/cluster/cordon", c.edge.Instrument("cluster.cordon", c.handleCordon))
-	mux.HandleFunc("POST /v1/cluster/uncordon", c.edge.Instrument("cluster.uncordon", c.handleUncordon))
-	mux.HandleFunc("POST /v1/cluster/drain", c.edge.Instrument("cluster.drain", c.handleDrain))
+	edge := &c.front.Edge
+	c.front.Mount(mux)
+	mux.HandleFunc("POST /v1/simulate", edge.Instrument("simulate", c.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", edge.Instrument("scenario", c.handleScenario))
+	mux.HandleFunc("GET /v1/cluster", edge.Instrument("cluster", c.handleCluster))
+	mux.HandleFunc("POST /v1/cluster/cordon", edge.Instrument("cluster.cordon", c.handleCordon))
+	mux.HandleFunc("POST /v1/cluster/uncordon", edge.Instrument("cluster.uncordon", c.handleUncordon))
+	mux.HandleFunc("POST /v1/cluster/drain", edge.Instrument("cluster.drain", c.handleDrain))
 	if cfg.Kill != nil {
-		mux.HandleFunc("POST /v1/cluster/kill", c.edge.Instrument("cluster.kill", c.handleKill))
+		mux.HandleFunc("POST /v1/cluster/kill", edge.Instrument("cluster.kill", c.handleKill))
 	}
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", c.handleMetricsProm)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.HandleFunc("GET /debug/trace", c.handleTraceDump)
-	c.mux = mux
 	c.handler = mux
 	return c
 }
@@ -182,16 +174,20 @@ func (c *Coordinator) Handler() http.Handler { return c.handler }
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.handler.ServeHTTP(w, r) }
 
 // Shutdown drains the coordinator: new work is rejected, running
-// fleet jobs get until ctx's deadline to finish (then are cancelled),
-// and the health checker stops. The caller closes the HTTP listener
-// first, and drains the workers themselves afterwards (the
-// coordinator does not own worker processes — except in embedded
-// mode, where cmd/dvsfleet drains them).
+// fleet jobs get until ctx's deadline to finish, and the health
+// checker stops. Jobs still running at the deadline are cancelled, and
+// Shutdown waits (up to 5s more) for them to settle, so none is left
+// running behind it. The caller closes the HTTP listener first, and
+// drains the workers themselves afterwards (the coordinator does not
+// own worker processes — except in embedded mode, where cmd/dvsfleet
+// drains them).
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.draining.Store(true)
-	err := c.jobs.WaitIdle(ctx)
+	err := c.front.Jobs.WaitIdle(ctx)
 	if err != nil {
-		c.jobs.CancelAll()
+		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		c.front.Jobs.CancelAll(hard)
 	}
 	if c.started.Load() {
 		c.healthStop()
@@ -308,10 +304,10 @@ func (c *Coordinator) probeAll() {
 // probe runs one /readyz check and applies the state transition:
 // success heals a down/draining worker back into the ring; a draining
 // 503 evicts it immediately (the worker said so itself); other
-// failures evict after FailThreshold consecutive misses. Cordoned
+// failures evict after failThreshold consecutive misses. Cordoned
 // workers are probed for status but never rejoin the ring.
 func (c *Coordinator) probe(w *worker) {
-	ctx, cancel := context.WithTimeout(c.healthCtx, c.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(c.healthCtx, healthTimeout)
 	err := w.Ready(ctx)
 	cancel()
 
@@ -343,7 +339,7 @@ func (c *Coordinator) probe(w *worker) {
 		// keep the manual state
 	case errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusServiceUnavailable:
 		next = WorkerDraining
-	case fails >= c.cfg.FailThreshold:
+	case fails >= failThreshold:
 		next = WorkerDown
 	}
 	w.state = next
@@ -360,8 +356,8 @@ func (c *Coordinator) probe(w *worker) {
 // once /readyz answers again.
 func (c *Coordinator) markDownPassive(w *worker, err error) {
 	w.mu.Lock()
-	if w.consecFails < c.cfg.FailThreshold {
-		w.consecFails = c.cfg.FailThreshold
+	if w.consecFails < failThreshold {
+		w.consecFails = failThreshold
 	}
 	w.lastErr = err.Error()
 	prev := w.state
@@ -508,10 +504,16 @@ func (c *Coordinator) route(ctx context.Context, key string, call func(context.C
 	return fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
 }
 
-// routeSimulate routes one simulation by its scenario key.
-func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest, key string) (server.SimResult, error) {
+// routeSimulate routes one simulation by its scenario key. A request
+// that cannot be keyed but is still runnable routes as the empty key
+// (one fixed owner) rather than failing.
+func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest) (server.SimResult, error) {
+	key, err := server.ScenarioKey(req)
+	if err != nil {
+		key = ""
+	}
 	var res server.SimResult
-	err := c.route(ctx, key, func(ctx context.Context, w *worker) (err error) {
+	err = c.route(ctx, key, func(ctx context.Context, w *worker) (err error) {
 		res, err = w.c.Simulate(ctx, *req)
 		return err
 	})
@@ -543,22 +545,13 @@ func writeRouteError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (c *Coordinator) rejectIfDraining(w http.ResponseWriter) bool {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", server.DrainRetryAfter)
-		server.WriteError(w, http.StatusServiceUnavailable, "cluster: draining, not accepting new work")
-		return true
-	}
-	return false
-}
-
 // --- handlers ---
 
 // handleSimulate proxies POST /v1/simulate: validate locally (a bad
 // scenario never costs a worker round-trip), route by scenario key,
 // fail over on worker faults.
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
+	if c.front.RejectIfDraining(w) {
 		return
 	}
 	var req server.SimRequest
@@ -569,13 +562,7 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := server.ScenarioKey(&req)
-	if err != nil {
-		// Unkeyable but runnable: route as the empty key (one fixed
-		// owner) rather than failing the request.
-		key = ""
-	}
-	res, err := c.routeSimulate(r.Context(), &req, key)
+	res, err := c.routeSimulate(r.Context(), &req)
 	if err != nil {
 		writeRouteError(w, err)
 		return
@@ -589,7 +576,7 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // route the raw body by the document's canonical key, and stream the
 // worker's verdict bytes through verbatim.
 func (c *Coordinator) handleScenario(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
+	if c.front.RejectIfDraining(w) {
 		return
 	}
 	doc, body, ok := server.ReadScenario(w, r, c.cfg.MaxBodyBytes)
@@ -612,72 +599,16 @@ func (c *Coordinator) handleScenario(w http.ResponseWriter, r *http.Request) {
 	w.Write(verdict)
 }
 
-// handleCreateJob answers POST /v1/jobs by expanding the batch
-// locally and fanning its runs out across the fleet (each routed by
-// its own scenario key), rather than parking the whole batch on one
-// worker.
-func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
-		return
-	}
-	var req server.BatchRequest
-	if !server.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	runs, err := req.Expand()
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j := c.jobs.Create(req.Name, runs)
-	server.WriteJSON(w, http.StatusAccepted, j.info(false))
-}
-
-func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, c.jobs.List())
-}
-
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.Get(r.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, j.info(r.URL.Query().Get("results") != ""))
-}
-
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if !c.jobs.Cancel(r.PathValue("id")) {
-		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJobEvents streams a fleet job's SSE progress, wire-compatible
-// with dvsd's stream (client.StreamEvents works unchanged).
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.Get(r.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		c.met.request("jobs.events", false)
-		return
-	}
-	c.met.request("jobs.events", true)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	j.stream(r.Context(), w)
-}
-
-// handlePolicies serves the policy registry locally: coordinator and
-// workers are built from the same binary's registry, so the answer is
-// authoritative without a proxy hop.
-func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"policies": policies.Names(),
-		"wrappers": []string{"crit", "dual", "guard"},
-	})
+// runJob is the fleet job store's per-run function. Each run routes
+// by its own scenario key, so a sweep spreads over the whole fleet
+// with per-run cache affinity instead of parking on one worker, and
+// fails over like any simulate request. Simulations are deterministic
+// and the store merges outcomes in submission order, so a fleet job's
+// results match the same batch on one dvsd whatever the worker count,
+// fan-out width or mid-job failover.
+func (c *Coordinator) runJob(ctx context.Context, req *server.SimRequest) (server.SimResult, error) {
+	c.met.fanoutRuns.Inc()
+	return c.routeSimulate(ctx, req)
 }
 
 // ClusterInfo is the wire form of GET /v1/cluster.
@@ -764,7 +695,7 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter, r *http.Request) 
 	c.met.writeProm(&own)
 	sources := []obs.ExpositionSource{{Label: "", Text: own.String()}}
 	for _, wk := range c.workerList() {
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.HealthTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), healthTimeout)
 		raw, err := wk.c.MetricsProm(ctx)
 		cancel()
 		if err != nil {
@@ -809,7 +740,7 @@ func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 		Spans:       []obs.SpanRecord{},
 	}
 	for _, wk := range c.workerList() {
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.HealthTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), healthTimeout)
 		raw, err := wk.c.TraceDump(ctx)
 		cancel()
 		if err != nil {
@@ -842,30 +773,12 @@ func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, dump)
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", server.DrainRetryAfter)
-		server.WriteError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz reports readiness: at least one worker in the ring and
-// not draining. A load balancer in front of several coordinators
+// notReady is the fleet's readiness test: not ready while no worker
+// is in the ring, so a load balancer in front of several coordinators
 // steers traffic away from one whose fleet has collapsed.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", server.DrainRetryAfter)
-		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
+func (c *Coordinator) notReady() map[string]any {
 	if c.ring.Len() == 0 {
-		w.Header().Set("Retry-After", server.ShedRetryAfter)
-		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "no ready workers", "workers": c.workerCount(),
-		})
-		return
+		return map[string]any{"status": "no ready workers", "workers": c.workerCount()}
 	}
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	return nil
 }

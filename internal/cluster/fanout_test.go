@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -143,5 +146,117 @@ func TestFleetFailoverMetric(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("killed worker %s missing from WorkerInfos", victim.Addr())
+	}
+}
+
+// TestFleetJobMatchesDaemonJob sends one 12-run batch through a
+// 3-worker fleet and through a single dvsd. Fleet jobs run on dvsd's
+// job store, so both must return byte-identical results (once the
+// per-execution serving metadata, wall_ns and cached, is cleared) and
+// the same terminal SSE event, and the fleet must count exactly one
+// job, twelve fanned-out runs and one event stream.
+func TestFleetJobMatchesDaemonJob(t *testing.T) {
+	f := newTestFleet(t, 3, Config{})
+	d := server.New(server.Config{Workers: 2})
+	dhs := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		dhs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		d.Shutdown(ctx)
+	})
+
+	batch := server.BatchRequest{Name: "match"}
+	policies := []string{"lpshe", "cc", "la", "dra"}
+	for i := 0; i < 12; i++ {
+		batch.Runs = append(batch.Runs, testRequest(policies[i%len(policies)], uint64(200+i)))
+	}
+	run := func(c *client.Client) ([]byte, server.JobEvent) {
+		t.Helper()
+		ctx := context.Background()
+		info, err := c.CreateJob(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var end server.JobEvent
+		if err := c.StreamEvents(ctx, info.ID, func(ev server.JobEvent) error {
+			if ev.Type == "end" {
+				end = ev
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("stream %s: %v", info.ID, err)
+		}
+		final, err := c.Job(ctx, info.ID, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ro := range final.Results {
+			if ro.Result != nil {
+				ro.Result.WallNanos, ro.Result.Cached = 0, false
+			}
+		}
+		results, err := json.Marshal(final.Results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, end
+	}
+	fleetResults, fleetEnd := run(f.c)
+	daemonResults, daemonEnd := run(client.New(dhs.URL))
+
+	if !bytes.Equal(fleetResults, daemonResults) {
+		t.Fatalf("fleet job results differ from dvsd's:\n--- dvsd ---\n%s\n--- fleet ---\n%s", daemonResults, fleetResults)
+	}
+	if fleetEnd != daemonEnd {
+		t.Fatalf("terminal SSE event: fleet %+v, dvsd %+v", fleetEnd, daemonEnd)
+	}
+	if fleetEnd.Type != "end" || fleetEnd.State != server.JobDone || fleetEnd.Done != 12 {
+		t.Fatalf("terminal SSE event = %+v, want end/done with 12 runs", fleetEnd)
+	}
+	met := f.coord.met
+	created, finished := met.jobsCreated.Value(), met.jobsFinished.Value()
+	runs, streams := met.fanoutRuns.Value(), met.requests.With("jobs.events").Value()
+	if created != 1 || finished != 1 || runs != 12 || streams != 1 {
+		t.Fatalf("jobs created %v, finished %v, fan-out runs %v, jobs.events requests %v; want 1, 1, 12, 1",
+			created, finished, runs, streams)
+	}
+}
+
+// TestFleetShutdownSettlesJobs: a fleet job still running when the
+// drain deadline expires is cancelled, and Shutdown returns only once
+// it has settled — the job already reads cancelled and every created
+// job has been counted finished.
+func TestFleetShutdownSettlesJobs(t *testing.T) {
+	f := newTestFleet(t, 2, Config{})
+	ctx := context.Background()
+
+	var batch server.BatchRequest
+	for i := 0; i < 8; i++ {
+		r := testRequest("lpshe", uint64(300+i))
+		r.Horizon = 5e5 // long enough to outlive a 1 ms drain deadline
+		batch.Runs = append(batch.Runs, r)
+	}
+	info, err := f.c.CreateJob(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	drain, cancel := context.WithTimeout(ctx, time.Millisecond)
+	defer cancel()
+	if err := f.coord.Shutdown(drain); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown error = %v, want context.DeadlineExceeded", err)
+	}
+
+	got, err := f.c.Job(ctx, info.ID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != server.JobCancelled {
+		t.Fatalf("job state after Shutdown = %s, want %s", got.State, server.JobCancelled)
+	}
+	created, finished := f.coord.met.jobsCreated.Value(), f.coord.met.jobsFinished.Value()
+	if created != 1 || finished != created {
+		t.Fatalf("dvsfleet_jobs_created_total = %v, dvsfleet_jobs_finished_total = %v, want both 1", created, finished)
 	}
 }

@@ -154,7 +154,7 @@ assertions:
 func TestFleetScenarioNoWorkers(t *testing.T) {
 	f := newTestFleet(t, 1, Config{})
 	f.workers[0].Kill()
-	// Two failed probes cross the default FailThreshold and empty the
+	// Two failed probes cross failThreshold and empty the
 	// ring, so the coordinator answers ErrNoWorkers rather than
 	// exhausting the failover ladder.
 	f.coord.probeAll()

@@ -1102,7 +1102,10 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		levels := bits.Len(uint(k))
 		rmq := a.stairRMQ
 		if need := levels * k; cap(rmq) < need {
-			rmq = make([]float64, need)
+			// Grow geometrically, so a run whose staircases keep
+			// lengthening reallocates O(log) times, not once per new
+			// longest staircase.
+			rmq = make([]float64, need, max(need, 2*cap(rmq)))
 		} else {
 			rmq = rmq[:need]
 		}

@@ -321,7 +321,7 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 // checkpoint document and resume it as a fresh job. Restores reject
 // while draining (they are new work).
 func (s *Server) handleRestoreJob(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
+	if s.front.RejectIfDraining(w) {
 		return
 	}
 	var doc JobCheckpoint

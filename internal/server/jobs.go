@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dvsslack/internal/obs"
 	"dvsslack/internal/par"
 )
 
@@ -55,7 +56,7 @@ type job struct {
 
 	cancel context.CancelFunc
 	// onLost observes every event dropped on a full subscriber
-	// buffer (the store wires it to the sse_lagged counter).
+	// buffer (the store wires it to its lost counter, when it has one).
 	onLost func()
 
 	// pausing flips once when a checkpoint is requested: runs not yet
@@ -317,10 +318,20 @@ func (j *job) liveCheckpoint(wait time.Duration) *JobCheckpoint {
 	return doc
 }
 
-// jobStore owns every job and their runner goroutines.
-type jobStore struct {
-	pool *pool
-	met  *metrics
+// JobStore owns one service's batch jobs and their runner goroutines.
+// dvsd and the dvsfleet coordinator each hold one; they differ only in
+// what they hand it: how one run executes, how many runs a job keeps
+// in flight, the job-ID prefix, and the counters it bumps. Outcomes
+// are recorded under their submission index and sorted at finish, so
+// a job's results do not depend on which runs finished first — nor,
+// on the fleet, on which worker ran them.
+type JobStore struct {
+	run    runFunc
+	width  func() int
+	prefix string
+
+	created, finished *obs.Counter
+	lost              *obs.Counter // nil: dropped SSE events are not counted
 
 	nextID atomic.Uint64
 
@@ -330,19 +341,36 @@ type jobStore struct {
 	order []string
 }
 
-func newJobStore(pool *pool, met *metrics) *jobStore {
-	return &jobStore{pool: pool, met: met, jobs: map[string]*job{}}
+// runFunc executes one run of a job under the contract of pool.DoRun:
+// resume, when non-nil, is the snapshot envelope to resume from, and
+// ctl lets the store pause or live-capture the run; a paused run
+// returns its envelope and a nil error.
+type runFunc func(ctx context.Context, req *SimRequest, resume []byte, ctl *runControl) (SimResult, []byte, error)
+
+// NewJobStore builds a store whose runs can be neither paused nor
+// resumed, so its jobs are never checkpointed (the dvsfleet
+// coordinator's, whose runs execute on other processes). Jobs get the
+// IDs prefix+"1", prefix+"2", …; each keeps at most width() runs in
+// flight, executes them through run, and bumps created when accepted
+// and finished when terminal.
+func NewJobStore(prefix string, width func() int, run func(context.Context, *SimRequest) (SimResult, error), created, finished *obs.Counter) *JobStore {
+	return newJobStore(prefix, width, func(ctx context.Context, req *SimRequest, _ []byte, _ *runControl) (SimResult, []byte, error) {
+		res, err := run(ctx, req)
+		return res, nil, err
+	}, created, finished, nil)
 }
 
-// Create registers a job for the given runs and starts executing it.
-func (s *jobStore) Create(parent context.Context, name string, runs []SimRequest) *job {
-	ctx, cancel := context.WithCancel(parent)
+func newJobStore(prefix string, width func() int, run runFunc, created, finished, lost *obs.Counter) *JobStore {
+	return &JobStore{run: run, width: width, prefix: prefix,
+		created: created, finished: finished, lost: lost, jobs: map[string]*job{}}
+}
+
+// newJob builds a queued job with a fresh ID.
+func (s *JobStore) newJob(name string, runs []SimRequest) *job {
 	j := &job{
-		id:        fmt.Sprintf("j%d", s.nextID.Add(1)),
+		id:        fmt.Sprintf("%s%d", s.prefix, s.nextID.Add(1)),
 		name:      name,
 		created:   time.Now(),
-		cancel:    cancel,
-		onLost:    s.met.sseLagged.Inc,
 		state:     JobQueued,
 		runs:      runs,
 		subs:      map[chan JobEvent]struct{}{},
@@ -352,40 +380,41 @@ func (s *jobStore) Create(parent context.Context, name string, runs []SimRequest
 		snapshots: map[int][]byte{},
 		ctls:      map[int]*runControl{},
 	}
+	if s.lost != nil {
+		j.onLost = s.lost.Inc
+	}
+	return j
+}
+
+// start registers j and launches its runner under a child of parent.
+func (s *JobStore) start(parent context.Context, j *job) *job {
+	ctx, cancel := context.WithCancel(parent)
+	j.cancel = cancel
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.met.jobCreated()
-	go s.run(ctx, j)
+	s.created.Inc()
+	go s.execute(ctx, j)
 	return j
+}
+
+// Create registers a job for the given runs and starts executing it.
+func (s *JobStore) Create(parent context.Context, name string, runs []SimRequest) *job {
+	return s.start(parent, s.newJob(name, runs))
 }
 
 // Restore registers and resumes a job from a checkpoint document.
 // The new job gets a fresh ID, is seeded with the document's recorded
 // outcomes, and re-enters the run loop: finished runs are skipped,
 // snapshotted runs resume mid-simulation, untouched runs start fresh.
-func (s *jobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, error) {
+func (s *JobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, error) {
 	snaps, err := doc.materialize()
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(parent)
-	j := &job{
-		id:        fmt.Sprintf("j%d", s.nextID.Add(1)),
-		name:      doc.Name,
-		created:   time.Now(),
-		cancel:    cancel,
-		onLost:    s.met.sseLagged.Inc,
-		state:     JobQueued,
-		runs:      append([]SimRequest(nil), doc.Runs...),
-		subs:      map[chan JobEvent]struct{}{},
-		finished:  make(chan struct{}),
-		completed: map[int]bool{},
-		resume:    snaps,
-		snapshots: map[int][]byte{},
-		ctls:      map[int]*runControl{},
-	}
+	j := s.newJob(doc.Name, append([]SimRequest(nil), doc.Runs...))
+	j.resume = snaps
 	for _, ro := range doc.Outcomes {
 		j.outcomes = append(j.outcomes, ro)
 		j.completed[ro.Index] = true
@@ -397,19 +426,13 @@ func (s *jobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, er
 			}
 		}
 	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	s.met.jobCreated()
-	go s.run(ctx, j)
-	return j, nil
+	return s.start(parent, j), nil
 }
 
-// run executes a job's runs across the shared pool, keeping at most
-// 2× the worker count outstanding so one huge job cannot monopolize
-// the queue against concurrent jobs and single-run requests.
-func (s *jobStore) run(ctx context.Context, j *job) {
+// execute runs a job's runs, keeping at most width() outstanding so
+// one huge job cannot monopolize the executor against concurrent jobs
+// and single-run requests.
+func (s *JobStore) execute(ctx context.Context, j *job) {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.started = time.Now()
@@ -418,7 +441,7 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 	// Run failures are recorded per outcome and never surfaced as a
 	// ForEach error, so cancellation (or a pause) is the only thing
 	// that stops the sweep early.
-	_ = par.ForEach(2*s.pool.workers, len(j.runs), func(i int) error {
+	_ = par.ForEach(s.width(), len(j.runs), func(i int) error {
 		if ctx.Err() != nil {
 			return nil // cancelled: stop submitting further runs
 		}
@@ -442,7 +465,7 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 			j.mu.Unlock()
 			return nil
 		}
-		res, ckpt, err := s.pool.DoRun(ctx, &j.runs[i], snap, ctl)
+		res, ckpt, err := s.run(ctx, &j.runs[i], snap, ctl)
 		j.mu.Lock()
 		delete(j.ctls, i)
 		j.mu.Unlock()
@@ -468,11 +491,11 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 		state = JobFailed
 	}
 	j.finish(state)
-	s.met.jobFinished()
+	s.finished.Inc()
 }
 
 // Get returns a job by ID.
-func (s *jobStore) Get(id string) (*job, bool) {
+func (s *JobStore) Get(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -480,21 +503,17 @@ func (s *jobStore) Get(id string) (*job, bool) {
 }
 
 // List returns job summaries in creation order.
-func (s *jobStore) List() []JobInfo {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobInfo, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.Get(id); ok {
-			out = append(out, j.info(false))
-		}
+func (s *JobStore) List() []JobInfo {
+	jobs := s.all()
+	out := make([]JobInfo, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.info(false)
 	}
 	return out
 }
 
 // all returns every job in creation order.
-func (s *jobStore) all() []*job {
+func (s *JobStore) all() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*job, 0, len(s.order))
@@ -512,7 +531,7 @@ func (s *jobStore) all() []*job {
 // will find it settled). Checkpointing an already-terminal job just
 // returns its document: for a finished job that is a pure outcome
 // record, still restorable.
-func (s *jobStore) Checkpoint(ctx context.Context, id string) (*JobCheckpoint, error) {
+func (s *JobStore) Checkpoint(ctx context.Context, id string) (*JobCheckpoint, error) {
 	j, ok := s.Get(id)
 	if !ok {
 		return nil, errNoSuchJob
@@ -531,7 +550,7 @@ func (s *jobStore) Checkpoint(ctx context.Context, id string) (*JobCheckpoint, e
 // checkpointed state within ctx. Jobs that complete normally while
 // pausing need no document; jobs that fail to settle are left to the
 // caller's cancellation pass.
-func (s *jobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
+func (s *JobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
 	var pending []*job
 	for _, j := range s.all() {
 		j.mu.Lock()
@@ -561,27 +580,11 @@ func (s *jobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
 	return docs
 }
 
-// Cancel aborts a job's remaining runs.
-func (s *jobStore) Cancel(id string) bool {
-	j, ok := s.Get(id)
-	if !ok {
-		return false
-	}
-	j.cancel()
-	return true
-}
-
 // WaitIdle blocks until every current job has reached a terminal
 // state or ctx expires (the graceful half of shutdown; handlers must
 // already be rejecting new jobs).
-func (s *jobStore) WaitIdle(ctx context.Context) error {
-	s.mu.Lock()
-	var pending []*job
-	for _, j := range s.jobs {
-		pending = append(pending, j)
-	}
-	s.mu.Unlock()
-	for _, j := range pending {
+func (s *JobStore) WaitIdle(ctx context.Context) error {
+	for _, j := range s.all() {
 		select {
 		case <-j.finished:
 		case <-ctx.Done():
@@ -589,6 +592,22 @@ func (s *jobStore) WaitIdle(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// CancelAll aborts every job (shutdown path) and waits for their
+// runner goroutines to settle or ctx to expire.
+func (s *JobStore) CancelAll(ctx context.Context) {
+	jobs := s.all()
+	for _, j := range jobs {
+		j.cancel()
+	}
+	for _, j := range jobs {
+		select {
+		case <-j.finished:
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // --- SSE streaming ---
@@ -651,8 +670,8 @@ func streamJob(ctx context.Context, sink sseSink, j *job, snapshot JobEvent, ch 
 					}
 				default:
 					info := j.info(false)
-					return send(JobEvent{Type: "end", State: info.State,
-						Total: info.Total, Done: info.Done, Failed: info.Failed, Error: info.Error})
+					return send(JobEvent{Type: "end", State: info.State, Total: info.Total, Done: info.Done,
+						Failed: info.Failed, Checkpointed: info.Checkpointed, Error: info.Error})
 				}
 			}
 		case <-ctx.Done():
@@ -668,25 +687,4 @@ func writeSSE(w io.Writer, ev JobEvent) error {
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
 	return err
-}
-
-// CancelAll aborts every job (shutdown path) and waits for their
-// runner goroutines to settle or ctx to expire.
-func (s *jobStore) CancelAll(ctx context.Context) {
-	s.mu.Lock()
-	var pending []*job
-	for _, j := range s.jobs {
-		pending = append(pending, j)
-	}
-	s.mu.Unlock()
-	for _, j := range pending {
-		j.cancel()
-	}
-	for _, j := range pending {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
-			return
-		}
-	}
 }

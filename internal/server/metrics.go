@@ -120,10 +120,6 @@ func (m *metrics) enqueue(delta int) { m.queueDepth.Add(float64(delta)) }
 
 func (m *metrics) running(delta int) { m.inFlight.Add(float64(delta)) }
 
-func (m *metrics) jobCreated() { m.jobsCreated.Inc() }
-
-func (m *metrics) jobFinished() { m.jobsFinished.Inc() }
-
 // auditDone records one audited simulation and its violation count.
 func (m *metrics) auditDone(violations int) {
 	m.simsAudited.Inc()

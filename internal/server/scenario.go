@@ -45,7 +45,7 @@ func ReadScenario(w http.ResponseWriter, r *http.Request, maxBytes int64) (*scen
 // verdict reports ok=false); 4xx is reserved for documents that do
 // not validate, with every validation error listed.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
+	if s.front.RejectIfDraining(w) {
 		return
 	}
 	doc, _, ok := ReadScenario(w, r, s.cfg.MaxBodyBytes)

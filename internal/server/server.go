@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dvsslack/internal/obs"
-	"dvsslack/internal/policies"
 	"dvsslack/internal/resilience"
 	"dvsslack/internal/trace"
 )
@@ -92,16 +91,15 @@ type Server struct {
 	cfg     Config
 	workers int
 	pool    *pool
-	jobs    *jobStore
+	jobs    *JobStore
 	cache   *resultCache
 	met     *metrics
 	log     *slog.Logger
 	mux     *http.ServeMux
 	handler http.Handler // mux behind recovery (and chaos) middleware
-	edge    Edge
+	front   *Front
 
-	admit      *resilience.Limiter // sync-request admission budget
-	sseTimeout time.Duration
+	admit *resilience.Limiter // sync-request admission budget
 
 	tracer *obs.Tracer
 	flight *obs.FlightRecorder
@@ -139,37 +137,45 @@ func New(cfg Config) *Server {
 	s.cache = newResultCache(cacheSize)
 	s.met = newMetrics(workers, s.cache)
 	s.pool = newPool(workers, cfg.QueueDepth, s.cache, s.met, s.tracer, s.flight)
-	s.jobs = newJobStore(s.pool, s.met)
+	// Jobs keep at most 2× the worker count of runs outstanding, so one
+	// huge job cannot monopolize the queue against concurrent jobs and
+	// single-run requests.
+	s.jobs = newJobStore("j", func() int { return 2 * s.pool.workers }, s.pool.DoRun,
+		s.met.jobsCreated, s.met.jobsFinished, s.met.sseLagged)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
-	s.edge = Edge{
-		Service: "dvsd",
-		Tracer:  s.tracer,
-		Log:     s.log,
-		Timeout: cfg.RequestTimeout,
-		Record: func(label string, ok bool, dur time.Duration, timedOut bool) {
-			if timedOut {
-				s.met.reqTimeouts.Inc()
-			}
-			s.met.request(label, ok)
-			s.met.httpDone(label, dur)
+	s.front = &Front{
+		Edge: Edge{
+			Service: "dvsd",
+			Tracer:  s.tracer,
+			Log:     s.log,
+			Timeout: cfg.RequestTimeout,
+			Record: func(label string, ok bool, dur time.Duration, timedOut bool) {
+				if timedOut {
+					s.met.reqTimeouts.Inc()
+				}
+				s.met.request(label, ok)
+				s.met.httpDone(label, dur)
+			},
 		},
+		Jobs:            s.jobs,
+		Base:            s.baseCtx,
+		Draining:        &s.draining,
+		NotReady:        s.notReady,
+		MaxBodyBytes:    cfg.MaxBodyBytes,
+		SSEWriteTimeout: cfg.SSEWriteTimeout,
+		Count:           s.met.request,
+		Dropped:         s.met.sseDropped,
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.edge.Instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", s.edge.Instrument("scenario", s.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", s.edge.Instrument("jobs.create", s.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", s.edge.Instrument("jobs.list", s.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.edge.Instrument("jobs.get", s.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.edge.Instrument("jobs.cancel", s.handleCancelJob))
-	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.edge.Instrument("jobs.checkpoint", s.handleCheckpointJob))
-	mux.HandleFunc("POST /v1/jobs/restore", s.edge.Instrument("jobs.restore", s.handleRestoreJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", s.edge.Instrument("policies", s.handlePolicies))
+	edge := &s.front.Edge
+	s.front.Mount(mux)
+	mux.HandleFunc("POST /v1/simulate", edge.Instrument("simulate", s.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", edge.Instrument("scenario", s.handleScenario))
+	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", edge.Instrument("jobs.checkpoint", s.handleCheckpointJob))
+	mux.HandleFunc("POST /v1/jobs/restore", edge.Instrument("jobs.restore", s.handleRestoreJob))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/trace", s.handleTraceDump)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
 	mux.HandleFunc("GET /debug/flightrecorder.trace", s.handleFlightTrace)
@@ -194,11 +200,6 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.admit.InUse()) })
 	s.met.reg.GaugeFunc("dvsd_admit_capacity", "admission budget for synchronous requests",
 		func() float64 { return float64(s.admit.Capacity()) })
-
-	s.sseTimeout = cfg.SSEWriteTimeout
-	if s.sseTimeout <= 0 {
-		s.sseTimeout = 5 * time.Second
-	}
 
 	// Middleware chain, outermost first: panic recovery (a handler
 	// bug costs one 500, not the process), then fault injection when
@@ -455,15 +456,6 @@ const DrainRetryAfter = "5"
 // the scale of in-flight run latency, not process lifetime.
 const ShedRetryAfter = "1"
 
-func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", DrainRetryAfter)
-		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
-		return true
-	}
-	return false
-}
-
 // --- handlers ---
 
 // handleSimulate answers POST /v1/simulate: one run, synchronously.
@@ -472,7 +464,7 @@ func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 // cache hits, so degradation is graceful rather than a goroutine
 // pile-up.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
+	if s.front.RejectIfDraining(w) {
 		return
 	}
 	var req SimRequest
@@ -525,108 +517,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCreateJob answers POST /v1/jobs: submit a batch, get an ID.
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
-		return
-	}
-	var req BatchRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	runs, err := req.Expand()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j := s.jobs.Create(s.baseCtx, req.Name, runs)
-	WriteJSON(w, http.StatusAccepted, j.info(false))
-}
-
-// handleListJobs answers GET /v1/jobs.
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.jobs.List())
-}
-
-// handleGetJob answers GET /v1/jobs/{id}; ?results=1 includes per-run
-// outcomes.
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		return
-	}
-	withResults := r.URL.Query().Get("results") != ""
-	WriteJSON(w, http.StatusOK, j.info(withResults))
-}
-
-// handleCancelJob answers DELETE /v1/jobs/{id}.
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if !s.jobs.Cancel(r.PathValue("id")) {
-		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJobEvents answers GET /v1/jobs/{id}/events with an SSE stream
-// of progress events, ending with an "end" event when the job reaches
-// a terminal state. Every write is armed with the configured write
-// deadline: a consumer that stops reading is dropped (and counted in
-// dvsd_sse_dropped_total) instead of pinning this goroutine to a dead
-// connection.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		s.met.request("jobs.events", false)
-		return
-	}
-	s.met.request("jobs.events", true)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	ch, snapshot, unsub := j.subscribe()
-	defer unsub()
-	sink := &httpSSESink{w: w, rc: http.NewResponseController(w)}
-	if err := streamJob(r.Context(), sink, j, snapshot, ch, s.sseTimeout); err != nil {
-		s.met.sseDropped.Inc()
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "sse consumer dropped",
-			slog.String("job", j.id), slog.String("err", err.Error()))
-	}
-}
-
-// httpSSESink adapts an http.ResponseWriter (through its
-// ResponseController, so write deadlines survive middleware
-// wrapping) to the sseSink interface streamJob consumes.
-type httpSSESink struct {
-	w  http.ResponseWriter
-	rc *http.ResponseController
-}
-
-func (s *httpSSESink) Write(p []byte) (int, error) { return s.w.Write(p) }
-
-func (s *httpSSESink) SetWriteDeadline(t time.Time) error { return s.rc.SetWriteDeadline(t) }
-
-func (s *httpSSESink) Flush() error {
-	err := s.rc.Flush()
-	if errors.Is(err, http.ErrNotSupported) {
-		// A buffering transport cannot stream, but the events still
-		// arrive when the response completes; not a dropped consumer.
-		return nil
-	}
-	return err
-}
-
-// handlePolicies answers GET /v1/policies with the registry names.
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"policies": policies.Names(),
-		"wrappers": []string{"crit", "dual", "guard"},
-	})
-}
-
 // handleMetrics answers GET /metrics with a JSON snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, s.met.snapshot(s.workers, s.cache))
@@ -672,34 +562,13 @@ func (s *Server) handleFlightTrace(w http.ResponseWriter, r *http.Request) {
 	trace.NewRecorder().ChromeTraceFlight(w, nil, s.flight.Records())
 }
 
-// handleHealthz answers GET /healthz (liveness: the process serves).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", DrainRetryAfter)
-		WriteError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz answers GET /readyz (readiness: this instance should
-// receive new traffic). Not ready while draining or while the
-// admission budget is at its high-water mark (90% spent) — a load
-// balancer watching /readyz steers new requests away before they
-// would be shed.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", DrainRetryAfter)
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
+// notReady is dvsd's readiness test: not ready while the admission
+// budget is at its high-water mark (90% spent), so a load balancer
+// watching /readyz steers new requests away before they would be shed.
+func (s *Server) notReady() map[string]any {
 	inUse, capacity := s.admit.InUse(), s.admit.Capacity()
 	if highWater := (capacity*9 + 9) / 10; inUse >= highWater {
-		w.Header().Set("Retry-After", ShedRetryAfter)
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "saturated", "admitted": inUse, "capacity": capacity,
-		})
-		return
+		return map[string]any{"status": "saturated", "admitted": inUse, "capacity": capacity}
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	return nil
 }

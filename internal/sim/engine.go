@@ -99,6 +99,10 @@ func Run(cfg Config) (Result, error) {
 type Engine struct {
 	cfg     Config
 	horizon float64
+	// repacer is cfg.Policy as a Repacer, nil when the policy places
+	// no mid-job decision points (resolved once: the policy never
+	// changes during a run).
+	repacer Repacer
 
 	began bool   // Policy.Reset and the initial releases happened
 	ended bool   // the event loop reached its natural end
@@ -235,6 +239,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		nomNext:    make([]float64, n),
 		actualNext: make([]float64, n),
 	}
+	e.repacer, _ = cfg.Policy.(Repacer)
 	e.active.byPriority = len(cfg.FixedPriorities) != 0
 	// Pre-size the ready queue and the free list from the task
 	// count: with feasible implicit-deadline sets at most one job per
@@ -420,8 +425,8 @@ func (e *Engine) Step() bool {
 	next := e.nextReleaseEvent()
 	// Intra-job power-management point: a Repacer policy may
 	// request an additional mid-job decision.
-	if rp, ok := e.cfg.Policy.(Repacer); ok {
-		if at := rp.NextCheck(j); at > e.t+1e-12 && at < next {
+	if e.repacer != nil {
+		if at := e.repacer.NextCheck(j); at > e.t+1e-12 && at < next {
 			next = at
 		}
 	}

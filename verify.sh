@@ -12,7 +12,8 @@
 # fleet smoke
 # (3-worker embedded dvsfleet: hammer through the router, dvsexp grid
 # byte-identical to the single-process run before AND after killing a
-# worker, failover observed in the metrics, clean drain), a fleet
+# worker, a fleet job's results equal to the same batch on one worker,
+# failover observed in the metrics, clean drain), a fleet
 # drain-migration smoke (a job live-migrated off a worker via POST
 # /v1/cluster/drain finishes on a ring successor), a trace
 # smoke (tracing-enabled fleet: one client trace ID observed in
@@ -29,6 +30,14 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "==> gofmt -l"
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "FAIL: gofmt would reformat:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -415,6 +424,47 @@ cmp -s "$SCEN_TMP/local.json" "$FLEET_TMP/scen.json" || {
     exit 1
 }
 
+# Fleet jobs run on dvsd's job store: one small batch through the
+# coordinator and the same batch posted straight to one worker must
+# return the same results array once the per-execution serving
+# metadata (wall_ns, cached) is dropped.
+FLEET_JOB='{
+  "name": "verify-fleet-job",
+  "sweep": {"n": 3, "u": [0.5, 0.8], "policies": ["lpshe", "cc", "la"], "seeds": 2,
+            "periods": [10, 20, 25, 50, 100]}
+}'
+JOB_WORKER=$(curl -s --max-time 2 "http://$FADDR/v1/cluster" |
+    sed -n 's/.*"addr": "\([0-9.:]*\)".*/\1/p' | head -n1)
+FJOB=$(curl -s --max-time 5 -d "$FLEET_JOB" "http://$FADDR/v1/jobs" | sed -n 's/.*"id": "\(fj[0-9]*\)".*/\1/p')
+WJOB=$(curl -s --max-time 5 -d "$FLEET_JOB" "http://$JOB_WORKER/v1/jobs" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')
+if [ -z "$FJOB" ] || [ -z "$WJOB" ]; then
+    echo "FAIL: fleet job '$FJOB' or worker $JOB_WORKER job '$WJOB' not accepted" >&2
+    exit 1
+fi
+# Both streams close after their "end" event.
+curl -sN --max-time 30 "http://$FADDR/v1/jobs/$FJOB/events" >"$FLEET_TMP/fjob.sse"
+curl -sN --max-time 30 "http://$JOB_WORKER/v1/jobs/$WJOB/events" >/dev/null
+grep -A1 '^event: end$' "$FLEET_TMP/fjob.sse" | grep -q '"state":"done"' || {
+    echo "FAIL: fleet job $FJOB stream did not end done:" >&2
+    cat "$FLEET_TMP/fjob.sse" >&2
+    exit 1
+}
+job_results() {
+    curl -s --max-time 5 "http://$1/v1/jobs/$2?results=1" | sed -n '/"results": \[/,$p' |
+        sed -e '/"wall_ns":/d' -e '/"cached":/d' -e 's/,$//'
+}
+job_results "$FADDR" "$FJOB" >"$FLEET_TMP/fjob.results"
+job_results "$JOB_WORKER" "$WJOB" >"$FLEET_TMP/wjob.results"
+grep -q '"energy"' "$FLEET_TMP/fjob.results" || {
+    echo "FAIL: fleet job $FJOB returned no results" >&2
+    exit 1
+}
+cmp -s "$FLEET_TMP/fjob.results" "$FLEET_TMP/wjob.results" || {
+    echo "FAIL: fleet job results differ from the same batch on worker $JOB_WORKER" >&2
+    diff "$FLEET_TMP/fjob.results" "$FLEET_TMP/wjob.results" >&2 || true
+    exit 1
+}
+
 # Kill one worker (the cluster endpoint hard-stops it, crash-style)
 # and rerun the grid: failover must keep the report byte-identical.
 VICTIM=$(curl -s --max-time 2 "http://$FADDR/v1/cluster" |
@@ -471,7 +521,7 @@ kill -TERM "$FLEET_PID"
 wait "$FLEET_PID" || { echo "FAIL: dvsfleet exited non-zero on SIGTERM" >&2; cat "$FLEET_LOG" >&2; exit 1; }
 FLEET_PID=""
 grep -q "drained, bye" "$FLEET_LOG" || { echo "FAIL: no clean fleet drain message" >&2; cat "$FLEET_LOG" >&2; exit 1; }
-echo "    fleet smoke test OK ($FADDR, hammer clean, t2 byte-identical incl. after worker kill, scenario verdict byte-identical, failover observed, clean drain)"
+echo "    fleet smoke test OK ($FADDR, hammer clean, t2 byte-identical incl. after worker kill, scenario verdict byte-identical, fleet job results equal a worker's, failover observed, clean drain)"
 
 echo "==> trace smoke test (dvsfleet -trace-buffer, one trace across the fleet)"
 TRACE_LOG="$FLEET_TMP/trace.log"
