@@ -78,7 +78,7 @@ func TestAnalyzeZeroAllocsWithPhantoms(t *testing.T) {
 	an := NewAnalyzer(sys.ts)
 	nextRel := sys.NextReleaseOf
 	for i, task := range sys.ts.Tasks {
-		an.AddPhantom(sys.now+task.Period*float64(i+1), 0.1)
+		an.AddPhantom(sys.now+task.Period*float64(i+1), 0.1, false)
 	}
 	an.Analyze(sys.now, sys.jobs, nextRel)
 	allocs := testing.AllocsPerRun(100, func() {

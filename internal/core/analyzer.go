@@ -76,8 +76,10 @@
 // exactly the readings the full scan would have produced. The grid is
 // conservative by construction (it assumes every release stream is as
 // early as its residue class allows, so delayed streams and
-// activity-window skips only make the real demand smaller), which
-// keeps the certificate sound and the returned values byte-identical
+// activity-window skips only make the real demand smaller; an active
+// job released exactly at k·Period is due at one of its task's slots,
+// where the grid already books the full WCET, so only jittered jobs
+// are charged on top), which keeps the certificate sound and the returned values byte-identical
 // to the retained full-rescan path; the differential fuzz tests pin
 // that equivalence across the scenario corpus, generated scenario
 // documents, and randomized task sets. SetFullRescan(true) disables the
@@ -180,7 +182,8 @@ type Analyzer struct {
 	// the deadline axis served from the hyperperiod grid by a cursor
 	// over its canonical slots, so expired tail deadlines leave the
 	// minimum exactly like captured entries do. tailC0 folds the
-	// call-time constants (q0·H − h − runf + cumBefore); tailBase is
+	// call-time constants (q0·H − h − offRem + cumBefore, certify's
+	// off without the −t0); tailBase is
 	// the absolute start of the cursor's current window, tailAcc the
 	// accumulated (1−U)·H shift of later windows.
 	tailValid  bool
@@ -189,21 +192,24 @@ type Analyzer struct {
 	tailAcc    float64
 	tailJ      int
 	tailCredit float64 // credit taken by the tail alone (see StairCredit)
-	// Unfolded-entry sentinel: a static c-bound covering active jobs
-	// whose deadlines lay beyond the scan stop (+Inf when none), with
-	// the earliest such deadline gating credits against it.
+	// Unfolded-entry sentinel: a static c-bound covering the off-grid
+	// entries (jittered jobs and their phantoms) whose deadlines lay
+	// beyond the scan stop (+Inf when none), with the earliest such
+	// deadline gating credits against it. Unfolded on-grid entries are
+	// due at grid slots the tail already covers.
 	entSent  float64
 	entFront float64
 
 	// Scratch buffers reused across Analyze calls (see the
 	// concurrency contract above). entries grows to the high-water
 	// active+phantom count; streams is fixed at the task count.
-	// entCum/entSuf hold the per-call entry prefix sums and suffix
-	// slack bounds the certificate uses to cover entries the scan
-	// has not folded yet.
+	// entCum/entOff/entSuf hold the per-call entry prefix sums (all
+	// and off-grid) and suffix slack bounds the certificate uses to
+	// cover entries the scan has not folded yet.
 	entries []phantom
 	streams []stream
 	entCum  []float64
+	entOff  []float64
 	entSuf  []float64
 
 	// instrumentation
@@ -222,6 +228,9 @@ type Analyzer struct {
 	lastCert  bool
 	lastTrunc bool
 	lastCal   bool
+	// certExact records that every stream deadline of the current
+	// call lies exactly on a grid slot (see windowOf).
+	certExact bool
 
 	// certify's grid-boundary cursor (see slotsPast): the window of
 	// the previous scan point and its first slot past it, reset by
@@ -232,10 +241,16 @@ type Analyzer struct {
 
 // phantom is synthetic demand used by the no-reclaim ablation: the
 // unused worst-case allowance of an early-completed job, kept until
-// its deadline passes.
+// its deadline passes. Analyze reuses the type for its sorted demand
+// entries (active jobs and phantoms alike).
 type phantom struct {
 	deadline float64
 	rem      float64
+	// onGrid marks demand of a job released exactly on its nominal
+	// k·Period grid (see Analyzer.onGrid): the demand grid already
+	// charges its task's WCET at the job's own deadline slot, so the
+	// certificate need not charge it again.
+	onGrid bool
 }
 
 // DefaultMaxScan bounds the number of deadlines examined per
@@ -247,11 +262,18 @@ const DefaultMaxScan = 1 << 20
 // NewAnalyzer builds an Analyzer for ts.
 func NewAnalyzer(ts *rtm.TaskSet) *Analyzer {
 	n := len(ts.Tasks)
+	// One backing array for the three per-entry float buffers, sized
+	// like entries (one current job per task); more entries regrow
+	// each independently.
+	buf := make([]float64, 3*n+1)
 	a := &Analyzer{
 		ts:      ts,
 		maxScan: DefaultMaxScan,
 		entries: make([]phantom, 0, n),
 		streams: make([]stream, n),
+		entCum:  buf[:0:n],
+		entOff:  buf[n : n : 2*n],
+		entSuf:  buf[2*n:],
 	}
 	a.key = gridKeyOf(ts)
 	a.util = ts.Utilization()
@@ -394,8 +416,9 @@ func (a *Analyzer) SetStairCapture(on bool) {
 //     walked by a cursor so that expired slots leave the minimum —
 //     this is what lets the bound RECOVER between analyses instead
 //     of decaying at rate 1 until forced to rebuild;
-//   - the unfolded-entry sentinel for active jobs with deadlines
-//     beyond the scan stop (rare; static and conservative);
+//   - the unfolded-entry sentinel for off-grid entries (jittered
+//     jobs and their phantoms) with deadlines beyond the scan stop
+//     (rare; static and conservative);
 //   - with no usable grid (unknown/oversized hyperperiod, off-grid
 //     jitter at t0, full-rescan or truncated-horizon modes), a
 //     scalar sentinel minL(t0) + t0 — sound for every terminating
@@ -670,8 +693,10 @@ func (a *Analyzer) SetMaxScan(n int) {
 	a.maxScan = n
 }
 
-// AddPhantom registers phantom demand (no-reclaim ablation).
-func (a *Analyzer) AddPhantom(deadline, rem float64) {
+// AddPhantom registers phantom demand (no-reclaim ablation). onGrid
+// reports whether the completed job was on its nominal release grid
+// (see onGrid); false is always sound, just a looser certificate.
+func (a *Analyzer) AddPhantom(deadline, rem float64, onGrid bool) {
 	if rem <= 0 {
 		return
 	}
@@ -681,7 +706,21 @@ func (a *Analyzer) AddPhantom(deadline, rem float64) {
 		// reaches steady state after the first hyperperiod.
 		a.phantoms = make([]phantom, 0, len(a.ts.Tasks))
 	}
-	a.phantoms = append(a.phantoms, phantom{deadline: deadline, rem: rem})
+	a.phantoms = append(a.phantoms, phantom{deadline: deadline, rem: rem, onGrid: onGrid})
+}
+
+// onGrid reports whether j sits exactly on its task's nominal grid:
+// released at float64(Index)·Period, JobOf's own arithmetic, with the
+// deadline one relative deadline later. Such a job's deadline is the
+// canonical grid slot of (task, Index), where the demand grid books
+// the task's full WCET ≥ the job's remaining work, and no release
+// stream can land there (a stream starts at its task's first
+// unreleased index). A jittered job moves release and deadline off
+// that slot and is charged in full.
+func (a *Analyzer) onGrid(j *rtm.Job) bool {
+	t := &a.ts.Tasks[j.TaskIndex]
+	r := float64(j.Index) * t.Period
+	return j.Release == r && j.AbsDeadline == r+t.RelDeadline()
 }
 
 // Counters exposes instrumentation for the overhead experiments. The
@@ -769,7 +808,7 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 	for _, j := range active {
 		r := j.RemainingWCET()
 		activeRem += r
-		entries = append(entries, phantom{deadline: j.AbsDeadline, rem: r})
+		entries = append(entries, phantom{deadline: j.AbsDeadline, rem: r, onGrid: a.onGrid(&j.Job)})
 	}
 	for _, p := range a.phantoms {
 		activeRem += p.rem
@@ -788,7 +827,7 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 	streams := a.streams
 	maxFirstDeadline, minFirstDeadline := t, math.Inf(1)
 	useCert := a.grid != nil && !a.fullRescan && a.maxScan == DefaultMaxScan
-	useCal := useCert && a.grid.calPos != nil
+	exact := useCert && a.grid.exact
 	for i, task := range a.ts.Tasks {
 		r := nextReleaseOf(i)
 		nd := r + task.RelDeadline()
@@ -808,18 +847,20 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 			if kp := k * task.Period; math.Abs(r-kp) > 1e-9*(1+r) {
 				useCert = false
 			} else if r != kp {
-				useCal = false
+				exact = false
 			}
 		}
 	}
-	// The calendar walk (see demandGrid.calPos) replaces the n-way
-	// stream merge when every stream sits exactly on its k·Period
-	// release grid and the scan stays within exact integer range: the
-	// streams' deadlines are then precisely the calendar entries at or
-	// past each stream's first deadline, and folding the entries of one
-	// position in task order adds the same terms in the same order.
-	useCal = useCal && useCert && maxFirstDeadline+2*a.grid.hyper < calExactLimit
-	a.lastCal = useCal
+	// On an exact grid, streams that sit exactly on their k·Period
+	// release grid and a scan within exact integer range put every
+	// stream deadline precisely on a grid slot. The calendar walk (see
+	// demandGrid.calPos) then replaces the n-way stream merge: the
+	// streams' deadlines are the calendar entries at or past each
+	// stream's first deadline, and folding the entries of one position
+	// in task order adds the same terms in the same order.
+	exact = exact && useCert && maxFirstDeadline+2*a.grid.hyper < calExactLimit
+	useCal := exact && a.grid.calPos != nil
+	a.certExact, a.lastCal = exact, useCal
 	a.certQ = math.NaN()
 
 	// Periodicity cutoff d* (see package comment): beyond
@@ -830,19 +871,25 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		horizon = maxFirstDeadline + a.hyper
 	}
 
-	// Entry suffix bounds for the certificate: entCum[l] is the
-	// demand of entries[0..l]; entSuf[l] is the suffix minimum of
-	// φ_l = (1−U)·e_l − entCum[l], which turns "slack at any
-	// unfolded entry deadline" into one precomputed lookup (see
+	// Entry bounds for the certificate: entCum[l] is the demand of
+	// entries[0..l] and entOff[l] its off-grid part (entries the grid
+	// does not already charge at their own slot, see onGrid); entSuf[l]
+	// is the suffix minimum, over off-grid entries only, of
+	// φ_l = (1−U)·e_l − entOff[l], which turns "slack at any unfolded
+	// off-grid entry deadline" into one precomputed lookup (see
 	// certify). O(#entries) once per call, so the certificate can
 	// stop the scan long before a far-deadline active job is folded.
-	var totalRem float64
 	if useCert && len(entries) > 0 {
+		var totalRem, offRem float64
 		gu := a.grid.util
-		cum := a.entCum[:0]
+		cum, off := a.entCum[:0], a.entOff[:0]
 		for _, e := range entries {
 			totalRem += e.rem
+			if !e.onGrid {
+				offRem += e.rem
+			}
 			cum = append(cum, totalRem)
+			off = append(off, offRem)
 		}
 		k := len(entries)
 		suf := a.entSuf
@@ -853,10 +900,12 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		}
 		suf[k] = math.Inf(1)
 		for l := k - 1; l >= 0; l-- {
-			phi := (1-gu)*entries[l].deadline - cum[l]
-			suf[l] = math.Min(phi, suf[l+1])
+			suf[l] = suf[l+1]
+			if !entries[l].onGrid {
+				suf[l] = math.Min((1-gu)*entries[l].deadline-off[l], suf[l])
+			}
 		}
-		a.entCum, a.entSuf = cum, suf
+		a.entCum, a.entOff, a.entSuf = cum, off, suf
 	}
 
 	var (
@@ -968,20 +1017,12 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		// still lower the slack minimum or push the intensity maximum
 		// past its utilization clamp. Both structures over-count the
 		// unscanned demand (delayed streams count at their earliest
-		// residue, unfolded entries in full), so a positive answer is
+		// residue, unfolded on-grid jobs at their own slot, the rest in
+		// full), so a positive answer is
 		// sound — and carries a float-noise margin, keeping the early
 		// stop byte-identical to the full rescan.
 		if useCert && d > t && !math.IsInf(minL, 1) {
-			var sPre float64
-			runf, entMin := 0.0, math.Inf(1)
-			if len(entries) > 0 {
-				if ai > 0 {
-					sPre = a.entCum[ai-1]
-				}
-				runf = totalRem - sPre
-				entMin = a.entSuf[ai]
-			}
-			if a.certify(t, d, h, sPre, runf, entMin, minL, maxS) {
+			if a.certify(t, d, h, ai, minL, maxS) {
 				certified = true
 				break
 			}
@@ -1056,21 +1097,14 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		if useCert && dLast > 0 && a.grid.hyper > a.grid.total {
 			g := a.grid
 			slop := a.certSlop + 1e-12*math.Abs(t)
-			q0 := math.Floor(dLast / g.hyper)
-			rho0 := dLast - q0*g.hyper
+			q0, rho0 := a.windowOf(dLast, slop)
 			idx0 := a.slotsPast(q0, rho0, slop)
 			var cumBefore float64
 			if idx0 > 0 {
 				cumBefore = g.cum[idx0-1]
 			}
-			var sPre, runf float64
-			if len(entries) > 0 {
-				if ai > 0 {
-					sPre = a.entCum[ai-1]
-				}
-				runf = totalRem - sPre
-			}
-			a.tailC0 = q0*g.hyper - h - runf + cumBefore
+			u := a.unfoldedAt(ai)
+			a.tailC0 = q0*g.hyper - h - u.offRem + cumBefore
 			a.tailBase = q0 * g.hyper
 			a.tailAcc = 0
 			a.tailJ = idx0
@@ -1080,12 +1114,17 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 				a.tailAcc += g.hyper - g.total
 			}
 			a.tailValid = true
-			if runf > 0 {
-				// Active jobs not folded by the scan: cover them with
-				// certify's deviation-envelope bound, gated for
-				// credits by the earliest such deadline.
-				a.entSent = a.entSuf[ai] + sPre - h + g.util*dLast - g.dev
-				a.entFront = entries[ai].deadline
+			if u.offRem > 0 {
+				// Off-grid entries not folded by the scan: cover them
+				// with certify's deviation-envelope bound, gated for
+				// credits by the earliest such deadline. (Unfolded
+				// on-grid entries sit on grid slots the tail covers.)
+				a.entSent = u.offMin + u.offPre - h + g.util*dLast - g.dev
+				l := ai
+				for entries[l].onGrid {
+					l++
+				}
+				a.entFront = entries[l].deadline
 			}
 		} else {
 			tail = minL + t
@@ -1150,42 +1189,51 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 // past its utilization clamp, so the scan may stop with exactly the
 // readings the full walk would produce.
 //
-// Arguments beyond the readings: h is the demand folded so far, sPre
-// the folded entry demand, runf the unfolded entry demand, entMin the
-// precomputed suffix minimum of φ_l = (1−U)·e_l − entCum[l] over the
-// unfolded entries. Preconditions (enforced at the call site): every
-// release stream sits on its nominal k·Period grid, dP > t, minL is
-// finite, and all unfolded entry deadlines exceed dP (the fold loop
-// guarantees it).
+// Arguments beyond the readings: h is the demand folded so far and ai
+// the scan's entry cursor; unfoldedAt(ai) gives the unfolded entry
+// demand rem, its off-grid part offRem, the folded off-grid demand
+// offPre and offMin, the suffix minimum of φ_l = (1−U)·e_l − entOff[l]
+// over the unfolded off-grid entries. Preconditions (enforced at the
+// call site): every release stream sits on its nominal k·Period grid,
+// dP > t, minL is finite, and all unfolded entry deadlines exceed dP
+// (the fold loop guarantees it).
 //
 // Derivation (see docs/performance.md for the long form). Write
 // dP = q·H + ρ and let idx be the first grid slot past ρ (boundary
-// slots stay "future" — the conservative side). Any unscanned grid
-// deadline is a canonical slot e = q·H + w·H + pos[j] with w ≥ 0 and
-// (w, j) ≥ (0, idx), and the future demand due in (dP, e] is at most
-// w·total + cum[j] − cumBefore (streams can only be delayed relative
-// to their residue class, never early) plus runf (every unfolded
-// entry, counted in full). Hence
+// slots stay "future" — the conservative side, see windowOf). Any
+// unscanned grid deadline is a canonical slot e = q·H + w·H + pos[j]
+// with w ≥ 0 and (w, j) ≥ (0, idx). The grid books every task's WCET
+// at every one of its slots in (dP, e], w·total + cum[j] − cumBefore
+// in all. That covers the release streams (they can only be delayed
+// relative to their residue class, never early) and also every
+// unfolded on-grid entry: job (i, m) released at m·T_i is due at its
+// own slot m·T_i + D_i, which no stream reaches (stream i starts at
+// its first unreleased index), and its remaining work is at most the
+// C_i booked there. Only the off-grid entries, jittered jobs and their
+// phantoms, are charged on top, in full (offRem). Hence
 //
 //	slack(e) ≥ (pos[j] − cum[j]) + w·(H − total) + off,
-//	off = q·H − t − h − runf + cumBefore,
+//	off = q·H − t − h − offRem + cumBefore,
 //
 // whose minimum over the current window is sufMin[idx] + off and over
 // every later window (monotone in w for U ≤ 1) is allMin + (H−total)
-// + off. An unfolded entry deadline e_l is itself a candidate; with
-// the deviation envelope demand(dP, e] ≤ util·(e−dP) + dev for the
-// stream part and the entry prefix sums for the entry part,
+// + off. An unfolded on-grid entry's deadline is one of those slots;
+// an off-grid entry deadline e_l is a candidate of its own. With the
+// deviation envelope demand(dP, e] ≤ util·(e−dP) + dev for the slot
+// part (streams and on-grid entries alike) and the off-grid prefix
+// sums for the rest,
 //
-//	slack(e_l) ≥ φ_l + (sPre − t − h + util·dP − dev),
+//	slack(e_l) ≥ φ_l + (offPre − t − h + util·dP − dev),
 //
-// minimized by the precomputed entMin. For intensity either every
+// minimized by the precomputed offMin. For intensity either every
 // unscanned ratio stays strictly below the utilization clamp, or the
-// unified envelope h(e) ≤ h + runf + util·(e−dP) + dev caps every
-// future ratio by util + A/(e−t), decreasing in e, below the maximum
-// already found. Every comparison carries a slop margin scaled to the
-// magnitudes involved, so float rounding can only keep the scan going
-// — never stop it unsoundly — and the early stop is byte-identical.
-func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) bool {
+// unified envelope h(e) ≤ h + rem + util·(e−dP) + dev, which still
+// charges every unfolded entry in full, caps every future ratio by
+// util + A/(e−t), decreasing in e, below the maximum already found.
+// Every comparison carries a slop margin scaled to the magnitudes
+// involved, so float rounding can only keep the scan going — never
+// stop it unsoundly — and the early stop is byte-identical.
+func (a *Analyzer) certify(t, dP, h float64, ai int, minL, maxS float64) bool {
 	g := a.grid
 	shift := g.hyper - g.total // (1−U)·H
 	if shift < 0 {
@@ -1196,14 +1244,14 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	// Scale-aware margin: certSlop covers the grid magnitudes, the
 	// t-term covers per-window drift accumulated over long horizons.
 	slop := a.certSlop + 1e-12*math.Abs(t)
-	q := math.Floor(dP / g.hyper)
-	rho := dP - q*g.hyper
+	q, rho := a.windowOf(dP, slop)
 	idx := a.slotsPast(q, rho, slop)
 	var cumBefore float64
 	if idx > 0 {
 		cumBefore = g.cum[idx-1]
 	}
-	off := q*g.hyper - t - h - runf + cumBefore
+	u := a.unfoldedAt(ai)
+	off := q*g.hyper - t - h - u.offRem + cumBefore
 	bound := g.sufMin[idx] + off // rest of the current window
 	if b := g.allMin + shift + off; b < bound {
 		bound = b // every later window, minimized at w = 1
@@ -1211,9 +1259,9 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	if !(bound >= minL+slop) {
 		return false
 	}
-	if runf > 0 {
-		// Unfolded entry deadlines as slack candidates.
-		if !(entMin+(sPre-t-h+g.util*dP-g.dev) >= minL+slop) {
+	if u.offRem > 0 {
+		// Unfolded off-grid entry deadlines as slack candidates.
+		if !(u.offMin+(u.offPre-t-h+g.util*dP-g.dev) >= minL+slop) {
 			return false
 		}
 	}
@@ -1223,7 +1271,7 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	// Intensity, unified envelope: ratio(e) ≤ util + A/(e−t) for every
 	// future candidate (grid slot or entry), with e−t > dP−t, so the
 	// supremum sits at the scan point.
-	A := h + runf + g.dev - g.util*(dP-t)
+	A := h + u.rem + g.dev - g.util*(dP-t)
 	if A <= -slop {
 		return true // everything stays below the utilization clamp
 	}
@@ -1232,7 +1280,48 @@ func (a *Analyzer) certify(t, dP, h, sPre, runf, entMin, minL, maxS float64) boo
 	}
 	// Sharper below-clamp clause, valid once all entries are folded:
 	// anchored at the grid slots instead of the worst-case envelope.
-	return runf == 0 && g.maxFU+h-cumBefore+g.util*(t-q*g.hyper) <= -slop
+	return u.rem == 0 && g.maxFU+h-cumBefore+g.util*(t-q*g.hyper) <= -slop
+}
+
+// unfolded summarizes the demand entries a scan has not folded yet,
+// entries[ai:], for certify and the staircase tail.
+type unfolded struct {
+	rem    float64 // demand of every unfolded entry
+	offRem float64 // its off-grid part: all the slack clauses charge
+	offPre float64 // off-grid demand already folded
+	offMin float64 // entSuf[ai]: min φ over unfolded off-grid entries
+}
+
+// unfoldedAt reads the per-call entry sums at scan cursor ai.
+func (a *Analyzer) unfoldedAt(ai int) unfolded {
+	u := unfolded{offMin: math.Inf(1)}
+	if len(a.entries) == 0 {
+		return u
+	}
+	var sPre float64
+	if ai > 0 {
+		sPre, u.offPre = a.entCum[ai-1], a.entOff[ai-1]
+	}
+	k := len(a.entries) - 1
+	u.rem, u.offRem, u.offMin = a.entCum[k]-sPre, a.entOff[k]-u.offPre, a.entSuf[ai]
+	return u
+}
+
+// windowOf writes the scan point x as q·H + rho for the grid lookups.
+// Unless the call's streams are exact (certExact), stream deadlines
+// are float sums that can land an ulp past the grid slot they belong
+// to, so a scan point within slop of a window start counts as the end
+// of the previous window (rho ≈ H): the slots at the boundary then
+// stay future, counted twice at worst, instead of past while their
+// demand is still unfolded.
+func (a *Analyzer) windowOf(x, slop float64) (q, rho float64) {
+	g := a.grid
+	q = math.Floor(x / g.hyper)
+	rho = x - q*g.hyper
+	if rho < slop && !a.certExact {
+		q, rho = q-1, rho+g.hyper
+	}
+	return q, rho
 }
 
 // slotsPast returns g.pastIndex(rho, slop) for the scan point q·H + rho

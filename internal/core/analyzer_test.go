@@ -142,7 +142,7 @@ func TestSlackPhantomDemand(t *testing.T) {
 		rtm.Task{WCET: 2, Period: 4},
 	)
 	a := NewAnalyzer(ts)
-	a.AddPhantom(4, 1.5) // completed early, 1.5 unused
+	a.AddPhantom(4, 1.5, false) // completed early, 1.5 unused
 	slack, _ := a.Analyze(0.5, mkActive([2]float64{4, 2}), nextRel(4, 4))
 	// h(4) = 2 + 1.5 = 3.5 → slack 0.
 	if slack != 0 {

@@ -113,8 +113,8 @@ func TestCalendarMatchesLinearMerge(t *testing.T) {
 		}
 		if seed%3 == 0 {
 			for _, a := range []*Analyzer{cal, lin} {
-				a.AddPhantom(now+3.5, 0.25)
-				a.AddPhantom(now+float64(seed%17), 0.5)
+				a.AddPhantom(now+3.5, 0.25, false)
+				a.AddPhantom(now+float64(seed%17), 0.5, false)
 			}
 		}
 		cal.SetStairCapture(true)

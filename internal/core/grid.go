@@ -56,15 +56,20 @@ type demandGrid struct {
 	// util·hyper) cancels to an ulp, which the slop margin absorbs.
 	util float64
 
+	// exact reports that every period and relative deadline is an
+	// integer (integerStreams): positions, window bases and the
+	// streams' accumulated deadlines are then exact integers, so a
+	// stream deadline lands on its grid slot bit for bit.
+	exact bool
 	// The deadline calendar: every (position, task) pair of one
 	// hyperperiod, sorted by position and then by task index —
 	// calPos[k] is the offset in (0, H], calTask[k] the task due
-	// there. Built only when every period and relative deadline is an
-	// integer, so that window bases plus offsets reproduce the linear
-	// merge's accumulated stream deadlines bit for bit; nil otherwise.
-	// Analyze walks it with a cursor instead of merging the n release
-	// streams at every scanned deadline, when the call-time streams
-	// line up with it exactly (see Analyze).
+	// there. Built only on exact grids, so that window bases plus
+	// offsets reproduce the linear merge's accumulated stream
+	// deadlines bit for bit; nil otherwise. Analyze walks it with a
+	// cursor instead of merging the n release streams at every scanned
+	// deadline, when the call-time streams line up with it exactly
+	// (see Analyze).
 	calPos  []float64
 	calTask []int32
 }
@@ -194,8 +199,8 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 	}
 	g.pos = make([]float64, 0, m)
 	g.cum = make([]float64, 0, m)
-	exact := integerStreams(a.ts.Tasks, h)
-	if exact {
+	g.exact = integerStreams(a.ts.Tasks, h)
+	if g.exact {
 		// m counts one entry per task per deadline residue: exactly
 		// the calendar's size.
 		g.calPos = make([]float64, 0, m)
@@ -217,7 +222,7 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 			if heads[i] == d {
 				c += a.ts.Tasks[i].WCET
 				heads[i] += a.ts.Tasks[i].Period
-				if exact {
+				if g.exact {
 					g.calPos = append(g.calPos, d)
 					g.calTask = append(g.calTask, int32(i))
 				}

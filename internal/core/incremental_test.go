@@ -92,8 +92,8 @@ func TestIncrementalMatchesRescanWithPhantoms(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			d := now + src.Range(1, 100)
 			w := src.Range(0.1, 2)
-			inc.AddPhantom(d, w)
-			ora.AddPhantom(d, w)
+			inc.AddPhantom(d, w, false)
+			ora.AddPhantom(d, w, false)
 		}
 		gotL, gotS := inc.Analyze(now, active, nextRel)
 		wantL, wantS := ora.Analyze(now, active, nextRel)

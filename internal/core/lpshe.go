@@ -247,7 +247,7 @@ func (p *LpSHE) OnComplete(j *sim.JobState) {
 		return
 	}
 	if rem := j.WCET - j.Executed; rem > 0 {
-		p.analyzer.AddPhantom(j.AbsDeadline, rem)
+		p.analyzer.AddPhantom(j.AbsDeadline, rem, p.analyzer.onGrid(&j.Job))
 	}
 }
 

@@ -201,3 +201,25 @@ func TestOptionsSeeds(t *testing.T) {
 		t.Error("explicit seeds should win")
 	}
 }
+
+// TestT3ScanLengthCeiling pins the slack-analysis cost table T3 reports
+// as a count, which repeats exactly from run to run: on T3's full
+// configuration the average deadlines scanned per Slack call stay
+// under a ceiling for fbEDF and lpSHE. Charging each released job once
+// in the early-stop certificate brought them from 21.94 and 15.76 to
+// 6.25 and 4.56.
+func TestT3ScanLengthCeiling(t *testing.T) {
+	r, err := Table3Overheads(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for policy, ceiling := range map[string]float64{"fbEDF": 7, "lpSHE": 5} {
+		got, ok := r.Values[policy+"/avg_scan_len"]
+		if !ok {
+			t.Fatalf("T3 reports no avg_scan_len for %s", policy)
+		}
+		if got > ceiling {
+			t.Errorf("%s: T3 avg_scan_len %.4f, ceiling %v", policy, got, ceiling)
+		}
+	}
+}

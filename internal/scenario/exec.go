@@ -183,12 +183,22 @@ func ExecuteObserved(ctx context.Context, doc *Document, hook ObserverHook) (*Ve
 	return v, nil
 }
 
-// runPolicy executes one audited simulation. The document's run spec
-// lowers exactly as a dvsd request does (wire.SimRequest.Lower: fresh
-// processor/workload/policy/auditor per run); the document adds only
-// its activity windows and timeline-shaped workload.
-func runPolicy(doc *Document, ts *rtm.TaskSet, windows [][]sim.Window, spec string, hook ObserverHook) PolicyRun {
-	out := PolicyRun{Policy: spec, Attempts: 1}
+// Config lowers the document for one policy run, as Execute runs it
+// but without the audit oracle: the run spec lowered exactly as a dvsd
+// request is (wire.SimRequest.Config), plus the document's activity
+// windows and timeline-shaped workload. Every call returns fresh
+// policy, processor and workload values.
+func (doc *Document) Config(spec string) (sim.Config, error) {
+	ts := doc.taskSet()
+	cfg, _, err := doc.lower(ts, doc.activeWindows(ts), spec, false, nil)
+	return cfg, err
+}
+
+// lower is the one document → sim.Config lowering: the run spec
+// through wire.SimRequest.Lower (fresh processor/workload/policy, the
+// auditor when audited is set, then the hook's observer), plus the
+// document's activity windows and timeline-shaped workload.
+func (doc *Document) lower(ts *rtm.TaskSet, windows [][]sim.Window, spec string, audited bool, hook ObserverHook) (sim.Config, *audit.Auditor, error) {
 	req := wire.SimRequest{
 		TaskSet:    ts,
 		Policy:     spec,
@@ -196,7 +206,7 @@ func runPolicy(doc *Document, ts *rtm.TaskSet, windows [][]sim.Window, spec stri
 		Workload:   doc.Workload,
 		Horizon:    doc.Horizon,
 		JitterSeed: doc.JitterSeed,
-		Audit:      true,
+		Audit:      audited,
 	}
 	var extra func(sim.Policy) sim.Observer
 	if hook != nil {
@@ -204,12 +214,22 @@ func runPolicy(doc *Document, ts *rtm.TaskSet, windows [][]sim.Window, spec stri
 	}
 	cfg, aud, err := req.Lower(extra)
 	if err != nil {
-		out.Err = err.Error()
-		return out
+		return sim.Config{}, nil, err
 	}
 	cfg.ActiveWindows = windows
 	if sw := newShapedWorkload(doc, cfg.Workload, ts); sw != nil {
 		cfg.Workload = sw
+	}
+	return cfg, aud, nil
+}
+
+// runPolicy executes one audited simulation of the lowered document.
+func runPolicy(doc *Document, ts *rtm.TaskSet, windows [][]sim.Window, spec string, hook ObserverHook) PolicyRun {
+	out := PolicyRun{Policy: spec, Attempts: 1}
+	cfg, aud, err := doc.lower(ts, windows, spec, true, hook)
+	if err != nil {
+		out.Err = err.Error()
+		return out
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's tier-1 gate: static checks, the full test
-# suite under the race detector, an end-to-end smoke test of the
+# suite under the race detector, the full experiment run compared byte
+# for byte with docs/results-full.txt, an end-to-end smoke test of the
 # dvsd daemon (start, run one lpSHE simulation over HTTP, assert zero
 # deadline misses, scrape /metrics.prom and check the exposition is
 # well-formed, drain cleanly), a chaos smoke (daemon under
@@ -91,6 +92,20 @@ echo "$PERF_OUT" | awk '
 }
 END { exit bad }
 ' || { echo "$PERF_OUT" >&2; exit 1; }
+
+echo "==> report bytes (dvsexp -exp all vs docs/results-full.txt)"
+# The committed full run must be the live one byte for byte: it cannot
+# drift from the code, and a change meant to keep every reading (a
+# performance change) fails here if it moves one.
+RESULTS=$(mktemp -t results.XXXXXX)
+go run ./cmd/dvsexp -exp all -workers 2 >"$RESULTS"
+if ! cmp -s docs/results-full.txt "$RESULTS"; then
+    echo "FAIL: dvsexp -exp all -workers 2 differs from docs/results-full.txt:" >&2
+    diff docs/results-full.txt "$RESULTS" >&2 || true
+    rm -f "$RESULTS"
+    exit 1
+fi
+rm -f "$RESULTS"
 
 echo "==> dvsd smoke test"
 DVSD_BIN=$(mktemp -t dvsd.XXXXXX)
