@@ -4,25 +4,19 @@
 #
 # Covered benchmarks:
 #   BenchmarkPolicies        one-hyperperiod engine throughput per policy
-#   BenchmarkAnalyzerSlack   one slack-analysis invocation (ns/op, allocs/op)
+#   BenchmarkAnalyzerSlack   one Analyzer.Slack call (ns/op, allocs/op)
 #   BenchmarkEngineDecision  per-scheduling-point engine cost (ns/decision)
 #   BenchmarkEngineDecisionFlight  same, with the decision flight
 #                            recorder attached (the observability tax)
-#   BenchmarkSnapshotCapture freeze one mid-run engine into a
-#                            checkpoint envelope (the per-run cost of
-#                            every pause, drain, and fleet migration)
-#   BenchmarkSnapshotReplay  rebuild a live engine from an envelope by
-#                            replaying its first 2000 steps (ns/step)
 #
 # Usage:
 #   ./bench.sh                # default benchtime, -count 5
 #   ./bench.sh -benchtime 2s  # extra args pass through to 'go test'
 #   ./bench.sh -count 10      # (and override the default -count)
 #   ./bench.sh -gate          # additionally FAIL on >20% median ns/op
-#                             # regression of AnalyzerSlack,
-#                             # EngineDecision[Flight], SnapshotCapture
-#                             # or SnapshotReplay vs the most recently
-#                             # committed BENCH_*.json (CI guard)
+#                             # regression of AnalyzerSlack or
+#                             # EngineDecision[Flight] vs the most
+#                             # recently committed BENCH_*.json (CI guard)
 #   BENCH_OUT=custom.json ./bench.sh
 #   BENCH_RAW=raw.txt ./bench.sh   # also keep the raw 'go test' output
 #                                  # (benchstat-compatible)
@@ -61,7 +55,7 @@ if [ -z "$raw" ]; then
     trap 'rm -f "$raw"' EXIT
 fi
 
-pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotReplay)$'
+pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight)$'
 echo "bench.sh: running $pattern (this takes a few minutes)..." >&2
 # -count precedes "$@" so a -count there wins (the last flag does).
 go test -run '^$' -bench "$pattern" -benchmem -count 5 "$@" . | tee "$raw" >&2
@@ -170,7 +164,7 @@ function val(line, key,   s) {
     lo = val($0, "ns_per_op_min"); hi = val($0, "ns_per_op_max")
     spread = (lo != "" && hi != "") ? sprintf("  [%.0f..%.0f]", lo, hi) : ""
     printf "  %-28s %12.0f -> %-12.0f %+7.1f%%%s\n", name, old[name], ns, pct, spread > "/dev/stderr"
-    if (pct > 20 && name ~ /^(AnalyzerSlack|EngineDecision|EngineDecisionFlight|SnapshotCapture|SnapshotReplay)$/)
+    if (pct > 20 && name ~ /^(AnalyzerSlack|EngineDecision|EngineDecisionFlight)$/)
         printf "%s %.1f%%\n", name, pct
 }
 ' "$prev" "$out")

@@ -269,9 +269,9 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil, true)
 }
 
-// CheckpointJob pauses a job at its next step boundaries and returns
-// the portable checkpoint document: recorded outcomes plus a
-// mid-flight engine snapshot per interrupted run. Not retried — a
+// CheckpointJob pauses a job and returns the portable checkpoint
+// document: its runs and the outcomes recorded so far (in-flight runs
+// stop and are discarded; a restore re-runs them). Not retried — a
 // replay against a job that settled meanwhile would still succeed,
 // but pausing is a state change the caller should see fail loudly.
 func (c *Client) CheckpointJob(ctx context.Context, id string) (server.JobCheckpoint, error) {
@@ -281,8 +281,8 @@ func (c *Client) CheckpointJob(ctx context.Context, id string) (server.JobCheckp
 }
 
 // RestoreJob resumes a checkpoint document as a fresh job on the
-// daemon (finished runs are skipped, snapshotted runs continue
-// mid-simulation). Never retried: a replay would enqueue the job
+// daemon (finished runs are skipped, every other run executes from
+// its request). Never retried: a replay would enqueue the job
 // twice.
 func (c *Client) RestoreJob(ctx context.Context, doc server.JobCheckpoint) (server.JobInfo, error) {
 	var info server.JobInfo

@@ -19,8 +19,8 @@
 //	GET  /v1/jobs/{id}               job status (+ ?results=1)
 //	GET  /v1/jobs/{id}/events        SSE progress stream
 //	DELETE /v1/jobs/{id}             cancel
-//	POST /v1/jobs/{id}/checkpoint    pause mid-simulation, get snapshot doc
-//	POST /v1/jobs/restore            resume a checkpoint document
+//	POST /v1/jobs/{id}/checkpoint    pause, get runs + outcomes document
+//	POST /v1/jobs/restore            resume a document, re-running the rest
 //	GET  /v1/policies                policy registry
 //	GET  /metrics                    JSON metrics snapshot
 //	GET  /metrics.prom               Prometheus text exposition
@@ -31,9 +31,9 @@
 // SIGINT/SIGTERM trigger a graceful drain: the listener closes, and
 // jobs in flight get -drain-timeout to finish. What happens to the
 // stragglers depends on -checkpoint-dir: with one set they are
-// checkpointed mid-simulation (and recovered on the next start from
-// the same directory — see docs/checkpoints.md); without, they are
-// cancelled.
+// checkpointed (their in-flight runs stop; the next start from the
+// same directory recovers them and re-runs what has no outcome — see
+// docs/checkpoints.md); without, they are cancelled.
 package main
 
 import (

@@ -129,7 +129,7 @@ func New(cfg Config) *Coordinator {
 		// to keep every worker's pool busy, while each dvsd's own
 		// admission control bounds what any one worker takes.
 		Jobs: server.NewJobStore("fj", func() int { return 4 * c.workerCount() }, c.runJob,
-			c.met.jobsCreated, c.met.jobsFinished),
+			c.met.jobsCreated, c.met.jobsFinished, nil),
 		Base:         context.Background(),
 		Draining:     &c.draining,
 		NotReady:     c.notReady,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"dvsslack/internal/obs"
 	"dvsslack/internal/server"
@@ -12,9 +11,10 @@ import (
 
 // DrainWorker live-migrates a worker's jobs off the node: the worker
 // is cordoned (no new routed traffic), every queued or running job on
-// it is checkpointed mid-simulation, and each checkpoint document is
-// restored on the job's ring successor. The byte-determinism of the
-// snapshot layer makes the move invisible in the results — the
+// it is checkpointed (its in-flight runs stop and are discarded), and
+// each checkpoint document is restored on the job's ring successor,
+// which re-runs every run without an outcome. Runs are deterministic
+// in their requests, so the move is invisible in the results — the
 // restored job finishes exactly as it would have on the drained
 // worker. Returns how many jobs were migrated and how many could not
 // be moved (they keep running, or sit checkpointed, on the source).
@@ -60,7 +60,7 @@ func (c *Coordinator) migrateJob(ctx context.Context, src *worker, info server.J
 		span.End()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(doc.Snapshots) == 0 && len(doc.Outcomes) == len(doc.Runs) {
+	if len(doc.Outcomes) == len(doc.Runs) {
 		// The job won the race: every run finished before the pause
 		// landed, so there is nothing left to move.
 		span.SetAttr("outcome", "completed")
@@ -85,12 +85,11 @@ func (c *Coordinator) migrateJob(ctx context.Context, src *worker, info server.J
 		c.met.migrations.With(reason).Inc()
 		span.SetAttr("to", cand)
 		span.SetAttr("restored_as", restored.ID)
-		span.SetAttr("snapshots", strconv.Itoa(len(doc.Snapshots)))
 		span.SetAttr("outcome", "ok")
 		span.End()
 		c.log.Info("cluster: job migrated",
 			"job", info.ID, "from", src.addr, "to", cand,
-			"restored_as", restored.ID, "snapshots", len(doc.Snapshots),
+			"restored_as", restored.ID,
 			"done", len(doc.Outcomes), "total", len(doc.Runs), "reason", reason)
 		return nil
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // longFleetRequest mirrors the server package's long-horizon request:
-// ~200ms of simulation, so a drain lands mid-run and has real state
-// to move.
+// ~200ms of simulation, so a drain lands mid-run and leaves runs to
+// re-run on the successor.
 func longFleetRequest(policy string, seed uint64) server.SimRequest {
 	req := testRequest(policy, seed)
 	req.Horizon = 1e6
@@ -47,8 +47,9 @@ func canonFleetResults(t *testing.T, ros []server.RunOutcome) string {
 
 // TestDrainMigration drives the fleet's live-migration path: a job
 // running on one worker is checkpointed mid-simulation by POST
-// /v1/cluster/drain, restored on a ring successor, and finishes there
-// with outcomes byte-identical to an uninterrupted local run.
+// /v1/cluster/drain, restored on a ring successor, which re-runs the
+// unfinished runs, and finishes there with outcomes byte-identical to
+// an uninterrupted local run.
 func TestDrainMigration(t *testing.T) {
 	f := newTestFleet(t, 3, Config{
 		HealthInterval: time.Hour, // keep the checker quiet
@@ -94,6 +95,9 @@ func TestDrainMigration(t *testing.T) {
 	}
 	if srcJob.State != server.JobCheckpointed {
 		t.Fatalf("source job state = %s, want %s", srcJob.State, server.JobCheckpointed)
+	}
+	if srcJob.Done >= srcJob.Total {
+		t.Fatalf("source job recorded %d of %d runs; the drain landed after completion", srcJob.Done, srcJob.Total)
 	}
 
 	var final server.JobInfo

@@ -136,14 +136,6 @@ type Analyzer struct {
 	// reading would be under-scanned.
 	slackOnly bool
 
-	// adaptive horizon (off by default, see SetAdaptiveHorizon):
-	// caps each scan at a multiple of the deepest scan index that
-	// ever improved a reading, degrading conservatively like the
-	// budget cap when exceeded.
-	adaptive    bool
-	adaptCap    int
-	deepestImpr int
-
 	// The slack staircase (see SetStairCapture): every scanned
 	// candidate deadline with its constant c_d = d − h(t0, d), plus a
 	// sentinel bounding the unscanned tail, so StairBound can report
@@ -218,7 +210,6 @@ type Analyzer struct {
 	capped   float64
 	incHits  float64 // scans stopped early by the grid certificate
 	rebuilds float64 // scans that ran to a full (uncertified) stop
-	adCapped float64 // scans truncated by the adaptive horizon
 	counters map[string]float64
 
 	// Per-call provenance for the flight recorder: how the most
@@ -283,7 +274,6 @@ func NewAnalyzer(ts *rtm.TaskSet) *Analyzer {
 	}
 	a.grid = buildDemandGrid(a)
 	a.certSlop = 1e-9 * (1 + a.hyper + a.totalC)
-	a.adaptCap = DefaultMaxScan
 	a.stairAdvT = math.Inf(-1)
 	a.stairFront = math.Inf(-1)
 	return a
@@ -306,9 +296,6 @@ func (a *Analyzer) Reset() {
 	a.tailCol = 0
 	a.tailValid, a.tailCredit = false, 0
 	a.entSent, a.entFront = 0, 0
-	if a.adaptive {
-		a.adaptCap, a.deepestImpr = adaptiveMinCap, 0
-	}
 }
 
 // ReuseFor reports whether this analyzer can serve ts — same task
@@ -340,35 +327,6 @@ func (a *Analyzer) ReuseFor(ts *rtm.TaskSet) bool {
 // The differential tests run the analyzer in both modes and require
 // identical outputs.
 func (a *Analyzer) SetFullRescan(on bool) { a.fullRescan = on }
-
-// SetAdaptiveHorizon toggles the adaptive scan horizon (off by
-// default). When enabled, the analyzer tracks the deepest scan index
-// that ever improved a reading and caps subsequent scans at
-// adaptiveHeadroom times that depth (floored at adaptiveMinCap). A
-// capped scan degrades exactly like an exhausted scan budget — the
-// slack falls to the sound utilization lower bound at the cap point
-// and the intensity to 1 — so deadline safety is preserved verbatim;
-// only energy can suffer, and docs/performance.md derives the bound
-// on how much. The certificate stays active, so the cap only fires on
-// scans the certificate could not stop early.
-func (a *Analyzer) SetAdaptiveHorizon(on bool) {
-	a.adaptive = on
-	if on {
-		a.adaptCap = adaptiveMinCap
-		a.deepestImpr = 0
-	} else {
-		a.adaptCap = DefaultMaxScan
-	}
-}
-
-const (
-	// adaptiveHeadroom multiplies the deepest observed improvement
-	// index into the scan cap, absorbing workload drift.
-	adaptiveHeadroom = 4
-	// adaptiveMinCap floors the adaptive cap so cold starts are not
-	// truncated into uselessness.
-	adaptiveMinCap = 16
-)
 
 // SetStairCapture enables the slack staircase (sticky; off by
 // default, no effect on the slack or intensity readings). With
@@ -741,14 +699,13 @@ func (a *Analyzer) Counters() map[string]float64 {
 	c["slack_phantom_buffer"] = float64(len(a.phantoms))
 	c["slack_incremental_hits"] = a.incHits
 	c["slack_rebuilds"] = a.rebuilds
-	c["slack_adaptive_capped"] = a.adCapped
 	return c
 }
 
 // ResetCounters zeroes instrumentation and drops phantom demand.
 func (a *Analyzer) ResetCounters() {
 	a.calls, a.scanned, a.capped = 0, 0, 0
-	a.incHits, a.rebuilds, a.adCapped = 0, 0, 0
+	a.incHits, a.rebuilds = 0, 0
 	a.lastScan, a.lastCert, a.lastTrunc = 0, false, false
 	a.phantoms = a.phantoms[:0]
 }
@@ -756,7 +713,7 @@ func (a *Analyzer) ResetCounters() {
 // LastScan reports how the most recent Analyze call terminated: the
 // number of deadlines scanned, whether the demand-grid certificate
 // stopped the scan early, and whether the scan was truncated by the
-// adaptive horizon or the scan budget (conservative degradation).
+// scan budget (conservative degradation).
 // Valid until the next Analyze call; used for per-decision
 // provenance.
 func (a *Analyzer) LastScan() (scanned int, certified, truncated bool) {
@@ -914,7 +871,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		maxS      float64 // running max of h/(d-t)
 		ai        int     // next active entry
 		scanCnt   int
-		lastImpr  int // deepest scan index that improved a reading
 		certified bool
 		dLast     float64 // last scanned candidate deadline
 		extreme   bool    // scan ended on an extreme reading
@@ -978,7 +934,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 			l := d - t - h
 			if l < minL {
 				minL = l
-				lastImpr = scanCnt
 			}
 			if a.stairOn {
 				// Staircase capture (see StairBound): c_d = d − h,
@@ -989,9 +944,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 			}
 			if s := h / (d - t); s > maxS {
 				maxS = s
-				if s > a.util {
-					lastImpr = scanCnt
-				}
 			}
 		}
 		if minL <= 0 || maxS >= 1 {
@@ -1027,18 +979,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 				break
 			}
 		}
-		if a.adaptive && scanCnt >= a.adaptCap {
-			// Adaptive horizon: degrade conservatively, exactly like
-			// an exhausted scan budget (sound, never optimistic).
-			a.adCapped++
-			a.lastTrunc = true
-			lb := (d-t)*(1-a.util) - activeRem - a.totalC
-			if lb < minL {
-				minL = lb
-			}
-			maxS = 1
-			break
-		}
 		if scanCnt >= a.maxScan {
 			// Budget exhausted: degrade both readings to their sound
 			// conservative values for everything beyond d.
@@ -1058,16 +998,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		a.incHits++
 	} else {
 		a.rebuilds++
-	}
-	if a.adaptive {
-		if lastImpr > a.deepestImpr {
-			a.deepestImpr = lastImpr
-		}
-		if c := adaptiveHeadroom * a.deepestImpr; c > adaptiveMinCap {
-			a.adaptCap = c
-		} else {
-			a.adaptCap = adaptiveMinCap
-		}
 	}
 
 	// Far-deadline limit: as d → ∞ the intensity approaches U from

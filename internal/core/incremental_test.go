@@ -225,41 +225,6 @@ func nextRelAfter(ts *rtm.TaskSet, t float64) func(int) float64 {
 	}
 }
 
-// TestAdaptiveHorizonSoundAndCounted verifies the adaptive horizon
-// (off by default) degrades conservatively: the reading with the cap
-// enabled never exceeds the exact slack, intensity never drops below
-// the exact one, and the truncation counter moves on at least one of
-// the probed states.
-func TestAdaptiveHorizonSoundAndCounted(t *testing.T) {
-	// Non-harmonic periods defeat the grid certificate cheaply, so
-	// scans run deep enough for the adaptive cap to fire.
-	cfg := rtm.DefaultGenConfig(6, 0.85, 11)
-	cfg.Periods = []float64{70, 105, 110, 154, 165, 231}
-	ts := rtm.MustGenerate(cfg)
-
-	ad := NewAnalyzer(ts)
-	ad.SetAdaptiveHorizon(true)
-	var truncations float64
-	for seed := uint64(1); seed <= 40; seed++ {
-		now, active, nextRel := fabricateState(ts, seed*977)
-		exactL, exactS := NewAnalyzer(ts).Analyze(now, active, nextRel)
-		gotL, gotS := ad.Analyze(now, active, nextRel)
-		if gotL > exactL+1e-9 {
-			t.Fatalf("seed %d: adaptive slack %v above exact %v", seed, gotL, exactL)
-		}
-		if gotS < exactS-1e-9 {
-			t.Fatalf("seed %d: adaptive intensity %v below exact %v", seed, gotS, exactS)
-		}
-		truncations = ad.Counters()["slack_adaptive_capped"]
-	}
-	if truncations == 0 {
-		t.Error("adaptive cap never fired across 40 probes; test lost its bite")
-	}
-	if off := NewAnalyzer(ts); off.adaptive {
-		t.Error("adaptive horizon must be off by default")
-	}
-}
-
 // TestLpSHEFullMatchesRescanEndToEnd runs whole simulations under the
 // default incremental+staircase policy and the full-rescan oracle
 // variant: every engine-level observable must be bit-identical, which
@@ -348,7 +313,7 @@ func TestCountersMapReused(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { a.Counters() }); got > 0 {
 		t.Errorf("Counters() allocates %v per scrape, want 0", got)
 	}
-	for _, key := range []string{"slack_calls", "slack_incremental_hits", "slack_rebuilds", "slack_adaptive_capped"} {
+	for _, key := range []string{"slack_calls", "slack_incremental_hits", "slack_rebuilds"} {
 		if _, ok := c1[key]; !ok {
 			t.Errorf("counter %q missing", key)
 		}

@@ -312,18 +312,15 @@ const MaxBatchRuns = 100000
 
 // JobInfo is the wire form of an async job's status.
 type JobInfo struct {
-	ID     string `json:"id"`
-	Name   string `json:"name,omitempty"`
-	State  string `json:"state"` // queued | running | done | failed | cancelled | checkpointed
-	Total  int    `json:"total"`
-	Done   int    `json:"done"`
-	Failed int    `json:"failed"`
-	// Checkpointed counts runs paused with a mid-flight snapshot
-	// (non-zero only for jobs in or headed to the checkpointed state).
-	Checkpointed int    `json:"checkpointed,omitempty"`
-	Created      string `json:"created"`
-	Started      string `json:"started,omitempty"`
-	Ended        string `json:"ended,omitempty"`
+	ID      string `json:"id"`
+	Name    string `json:"name,omitempty"`
+	State   string `json:"state"` // queued | running | done | failed | cancelled | checkpointed
+	Total   int    `json:"total"`
+	Done    int    `json:"done"`
+	Failed  int    `json:"failed"`
+	Created string `json:"created"`
+	Started string `json:"started,omitempty"`
+	Ended   string `json:"ended,omitempty"`
 	// Error carries the first run error for failed jobs.
 	Error string `json:"error,omitempty"`
 	// Results holds per-run outcomes (submission order) once the job

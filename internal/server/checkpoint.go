@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,22 +13,21 @@ import (
 	"time"
 
 	"dvsslack/internal/obs"
-	"dvsslack/internal/snapshot"
 )
 
-// JobCheckpointVersion is the current job-checkpoint document version.
-// Like the snapshot envelope version it is bumped on any layout
-// change; readers accept exactly the versions they know.
-const JobCheckpointVersion = 1
+// JobCheckpointVersion is the current job-checkpoint document
+// version. It is bumped on any layout change; readers accept exactly
+// the versions they know. Version 1 documents also carried a
+// "snapshots" map of mid-run replay points and are rejected.
+const JobCheckpointVersion = 2
 
 // JobCheckpoint is the portable record of a paused job: the full run
-// list, every outcome already recorded, and a snapshot envelope (a
-// replay point: step count plus engine digest) for each run that was
-// executing when the pause landed. It is self-contained — restoring
-// it on a different daemon (the fleet's live-migration path) or a
-// later process (crash recovery) resumes the job bit-identically,
-// because each run is deterministic in its request and each envelope
-// is bound to its run's canonical scenario key.
+// list and every outcome already recorded. It is self-contained —
+// restoring it on a different daemon (the fleet's live-migration
+// path) or a later process (crash recovery) finishes the job with the
+// results an uninterrupted run would have had, because each run is a
+// pure function of its request and the restore re-runs every run
+// without an outcome from that request.
 type JobCheckpoint struct {
 	Version int    `json:"version"`
 	Name    string `json:"name,omitempty"`
@@ -40,81 +38,43 @@ type JobCheckpoint struct {
 	// Outcomes holds the runs that finished before the pause; restore
 	// seeds the new job with them and never re-executes those indices.
 	Outcomes []RunOutcome `json:"outcomes,omitempty"`
-	// Snapshots maps a decimal run index to the base64 of its snapshot
-	// envelope (internal/snapshot framing: versioned, checksummed, and
-	// scenario-key-bound).
-	Snapshots map[string]string `json:"snapshots,omitempty"`
 }
 
 // errNoSuchJob distinguishes "unknown job ID" from transport errors
 // on the checkpoint path.
 var errNoSuchJob = errors.New("server: no such job")
 
-// ckptKey is the scenario key a run's snapshots are bound to. A
-// request that cannot be keyed degrades to "" — consistently on both
-// the capture and restore sides, so the binding check still holds.
-func ckptKey(req *SimRequest) string {
-	key, err := ScenarioKey(req)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
-// materialize validates the document and decodes its snapshots into
-// run-indexed envelopes. Everything fails closed: a version mismatch,
-// an invalid run, an out-of-range or duplicate outcome, a snapshot for
-// an already-finished run, a corrupt envelope, or an envelope bound to
-// a different run's scenario key each reject the whole document.
-func (d *JobCheckpoint) materialize() (map[int][]byte, error) {
+// validate is the check every document passes before a job is
+// registered from it. Everything fails closed: a version mismatch,
+// no runs or too many, an invalid run, or an out-of-range or
+// duplicate outcome each reject the whole document.
+func (d *JobCheckpoint) validate() error {
 	if d.Version != JobCheckpointVersion {
-		return nil, fmt.Errorf("server: job checkpoint version %d (this build reads version %d)",
+		return fmt.Errorf("server: job checkpoint version %d (this build reads version %d)",
 			d.Version, JobCheckpointVersion)
 	}
 	if len(d.Runs) == 0 {
-		return nil, errors.New("server: job checkpoint has no runs")
+		return errors.New("server: job checkpoint has no runs")
 	}
 	if len(d.Runs) > MaxBatchRuns {
-		return nil, fmt.Errorf("server: job checkpoint has %d runs, limit %d", len(d.Runs), MaxBatchRuns)
+		return fmt.Errorf("server: job checkpoint has %d runs, limit %d", len(d.Runs), MaxBatchRuns)
 	}
 	for i := range d.Runs {
 		if err := d.Runs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("server: checkpoint run %d: %w", i, err)
+			return fmt.Errorf("server: checkpoint run %d: %w", i, err)
 		}
 	}
 	finished := make(map[int]bool, len(d.Outcomes))
 	for _, ro := range d.Outcomes {
 		if ro.Index < 0 || ro.Index >= len(d.Runs) {
-			return nil, fmt.Errorf("server: checkpoint outcome index %d out of range [0,%d)", ro.Index, len(d.Runs))
+			return fmt.Errorf("server: checkpoint outcome index %d out of range [0,%d)", ro.Index, len(d.Runs))
 		}
 		if finished[ro.Index] {
-			return nil, fmt.Errorf("server: duplicate checkpoint outcome for run %d", ro.Index)
+			return fmt.Errorf("server: duplicate checkpoint outcome for run %d", ro.Index)
 		}
 		finished[ro.Index] = true
 	}
-	snaps := make(map[int][]byte, len(d.Snapshots))
-	for k, v := range d.Snapshots {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 || i >= len(d.Runs) {
-			return nil, fmt.Errorf("server: checkpoint snapshot key %q is not a run index", k)
-		}
-		if finished[i] {
-			return nil, fmt.Errorf("server: checkpoint run %d has both an outcome and a snapshot", i)
-		}
-		env, err := base64.StdEncoding.DecodeString(v)
-		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint snapshot %d: %w", i, err)
-		}
-		dec, err := snapshot.Decode(env)
-		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint snapshot %d: %w", i, err)
-		}
-		if want := ckptKey(&d.Runs[i]); dec.ScenarioKey != want {
-			return nil, fmt.Errorf("server: checkpoint snapshot %d: %w", i, snapshot.ErrKeyMismatch)
-		}
-		snaps[i] = env
-	}
-	return snaps, nil
+	return nil
 }
 
 // --- durable checkpoint files ---
@@ -194,9 +154,7 @@ func (s *Server) RecoverCheckpoints() (int, error) {
 		data, err := os.ReadFile(path)
 		var doc JobCheckpoint
 		if err == nil {
-			dec := json.NewDecoder(bytes.NewReader(data))
-			dec.DisallowUnknownFields()
-			err = dec.Decode(&doc)
+			err = decodeStrict(bytes.NewReader(data), &doc)
 		}
 		var j *job
 		if err == nil {
@@ -237,10 +195,11 @@ func (s *Server) pruneCheckpointFiles() {
 	}
 }
 
-// autoCheckpointLoop periodically snapshots running jobs to the
-// checkpoint directory, bounding what a crash (as opposed to a
-// graceful drain) can lose to one interval. Ticks are skipped while
-// draining — Shutdown's own checkpoint pass owns that window.
+// autoCheckpointLoop periodically writes running jobs' documents to
+// the checkpoint directory, bounding what a crash (as opposed to a
+// graceful drain) can lose to one interval's outcomes. Ticks are
+// skipped while draining — Shutdown's own checkpoint pass owns that
+// window.
 func (s *Server) autoCheckpointLoop() {
 	t := time.NewTicker(s.cfg.CheckpointInterval)
 	defer t.Stop()
@@ -257,15 +216,9 @@ func (s *Server) autoCheckpointLoop() {
 	}
 }
 
-// autoCheckpointOnce writes one live document per active job and
-// prunes documents of terminal ones. Live captures are bounded by
-// half the interval (at most 1s): a run that cannot reach a step
-// boundary in time simply keeps its previous snapshot.
+// autoCheckpointOnce writes one document per active job, without
+// pausing it, and prunes documents of terminal ones.
 func (s *Server) autoCheckpointOnce() {
-	wait := s.cfg.CheckpointInterval / 2
-	if wait > time.Second {
-		wait = time.Second
-	}
 	for _, j := range s.jobs.all() {
 		j.mu.Lock()
 		st := j.state
@@ -275,7 +228,7 @@ func (s *Server) autoCheckpointOnce() {
 			os.Remove(checkpointFileName(s.cfg.CheckpointDir, j.id))
 			continue
 		}
-		if err := writeCheckpointFile(s.cfg.CheckpointDir, j.liveCheckpoint(wait)); err != nil {
+		if err := writeCheckpointFile(s.cfg.CheckpointDir, j.checkpointDoc()); err != nil {
 			s.log.Warn("auto-checkpoint failed", "job", j.id, "err", err)
 			continue
 		}
@@ -286,8 +239,8 @@ func (s *Server) autoCheckpointOnce() {
 // --- handlers ---
 
 // handleCheckpointJob answers POST /v1/jobs/{id}/checkpoint: pause the
-// job at the next step boundary of each in-flight run and return the
-// full checkpoint document. Deliberately not gated on draining —
+// job, stopping its in-flight runs at their next step boundary, and
+// return the checkpoint document. Deliberately not gated on draining —
 // checkpointing is how work leaves a draining daemon.
 func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -308,9 +261,8 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 	if s.tracer != nil {
 		if sc, ok := obs.SpanContextFromContext(r.Context()); ok {
 			s.tracer.Emit(sc, "dvsd.checkpoint", start, time.Since(start), map[string]string{
-				"job":       id,
-				"snapshots": strconv.Itoa(len(doc.Snapshots)),
-				"outcomes":  strconv.Itoa(len(doc.Outcomes)),
+				"job":      id,
+				"outcomes": strconv.Itoa(len(doc.Outcomes)),
 			})
 		}
 	}

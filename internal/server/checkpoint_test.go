@@ -3,21 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
 	"dvsslack/internal/obs"
-	"dvsslack/internal/sim"
-	"dvsslack/internal/snapshot"
 )
 
 // longRequest is quickstartRequest stretched to ~200ms of wall time
@@ -74,7 +69,7 @@ func canonResults(t *testing.T, ros []RunOutcome) string {
 	return string(b)
 }
 
-func cloneDoc(t *testing.T, doc JobCheckpoint) JobCheckpoint {
+func cloneDoc(t testing.TB, doc JobCheckpoint) JobCheckpoint {
 	t.Helper()
 	b, err := json.Marshal(doc)
 	if err != nil {
@@ -87,150 +82,109 @@ func cloneDoc(t *testing.T, doc JobCheckpoint) JobCheckpoint {
 	return out
 }
 
-// TestPoolPauseResumeDeterminism pins the core checkpoint contract at
-// the pool level: pausing a run mid-simulation and resuming it from
-// the returned envelope yields exactly the result of an uninterrupted
-// run — including the audit verdict.
-func TestPoolPauseResumeDeterminism(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
-	ref, _ := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-
-	req := longRequest("lpshe", 11)
-	req.Audit = true
-	want, err := ref.pool.Do(ctx, &req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type runOut struct {
-		res  SimResult
-		ckpt []byte
-		err  error
-	}
-	ctl := &runControl{}
-	done := make(chan runOut, 1)
-	go func() {
-		res, ckpt, err := s.pool.DoRun(ctx, &req, nil, ctl)
-		done <- runOut{res, ckpt, err}
-	}()
-	time.Sleep(40 * time.Millisecond)
-
-	// A live capture must not disturb the run.
-	live := <-ctl.Capture()
-	if live.err != nil {
-		t.Fatalf("live capture: %v", live.err)
-	}
-	if len(live.data) == 0 {
-		t.Fatal("live capture returned an empty envelope")
-	}
-
-	ctl.Pause()
-	o := <-done
-	if o.err != nil {
-		t.Fatalf("paused run: %v", o.err)
-	}
-	if o.ckpt == nil {
-		t.Fatal("run finished before the pause landed; raise longRequest's horizon")
-	}
-
-	for name, snap := range map[string][]byte{"pause": o.ckpt, "live": live.data} {
-		res, ckpt2, err := s.pool.DoRun(ctx, &req, snap, nil)
-		if err != nil {
-			t.Fatalf("resume from %s snapshot: %v", name, err)
+// waitMetrics polls /metrics until ok accepts a snapshot or the
+// deadline passes, and returns the last snapshot with the verdict.
+func waitMetrics(t *testing.T, base string, within time.Duration, ok func(MetricsSnapshot) bool) (MetricsSnapshot, bool) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		m := decodeResp[MetricsSnapshot](t, mustGet(t, base+"/metrics"), http.StatusOK)
+		if ok(m) {
+			return m, true
 		}
-		if ckpt2 != nil {
-			t.Fatalf("resume from %s snapshot returned a checkpoint without a pause", name)
+		if time.Now().After(deadline) {
+			return m, false
 		}
-		res.WallNanos, res.Cached = 0, false
-		w := want
-		w.WallNanos, w.Cached = 0, false
-		if !reflect.DeepEqual(res, w) {
-			t.Errorf("resume from %s snapshot diverged:\n got %+v\nwant %+v", name, res, w)
-		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// TestPauseDuringReplay pins the checkpoint handshake of a resumed
-// run: while the run is still replaying its prefix, a live capture and
-// a pause must both land at the next step boundary and answer with the
-// envelope being replayed, not wait for the replay to finish. The
-// snapshot sits a quarter of a million steps into longRequest, so a
-// pause that waited for the replay would return a later envelope. The
-// same holds one layer up: checkpointing a just-restored job leaves it
-// checkpointed with the document it was restored from.
-func TestPauseDuringReplay(t *testing.T) {
-	s, hs := newTestServer(t, Config{Workers: 1, CacheSize: -1})
-	ctx := context.Background()
+// TestJobCancelStopsInFlightRuns pins the one stop signal of a job's
+// runs: deleting or checkpointing a job stops its in-flight run at the
+// next step boundary, so the worker is free again long before the run
+// could have finished, and the abandoned run counts as no simulation.
+// The run is about ten times longRequest, seconds of simulation.
+func TestJobCancelStopsInFlightRuns(t *testing.T) {
+	stops := map[string]func(t *testing.T, base, id string){
+		"delete": func(t *testing.T, base, id string) {
+			req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("cancel status = %d, want 204", resp.StatusCode)
+			}
+		},
+		"checkpoint": func(t *testing.T, base, id string) {
+			doc := decodeResp[JobCheckpoint](t, postJSON(t, base+"/v1/jobs/"+id+"/checkpoint", nil), http.StatusOK)
+			if len(doc.Outcomes) != 0 {
+				t.Fatalf("checkpoint recorded %d outcomes for a run that was stopped", len(doc.Outcomes))
+			}
+		},
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+			req := longRequest("lpshe", 61)
+			req.Horizon = 1e7
+			batch := BatchRequest{Name: "stop-" + name, Runs: []SimRequest{req}}
+			info := decodeResp[JobInfo](t, postJSON(t, hs.URL+"/v1/jobs", batch), http.StatusAccepted)
+			if _, ok := waitMetrics(t, hs.URL, 10*time.Second, func(m MetricsSnapshot) bool { return m.InFlight == 1 }); !ok {
+				t.Fatal("the job's run never started")
+			}
 
-	req := longRequest("lpshe", 12)
-	cfg, err := req.Config()
-	if err != nil {
-		t.Fatal(err)
+			stop(t, hs.URL, info.ID)
+			m, ok := waitMetrics(t, hs.URL, 2*time.Second, func(m MetricsSnapshot) bool { return m.InFlight == 0 })
+			if !ok {
+				t.Fatalf("worker still busy 2s after the stop (in_flight %d): the run was not stopped", m.InFlight)
+			}
+			if m.SimsRun != 0 {
+				t.Fatalf("sims_run = %d after the stop, want 0: the run finished instead of stopping", m.SimsRun)
+			}
+			want := map[string]string{"delete": JobCancelled, "checkpoint": JobCheckpointed}[name]
+			if st := waitJobAny(t, hs.URL, info.ID).State; st != want {
+				t.Fatalf("job state = %s, want %s", st, want)
+			}
+		})
 	}
-	key, err := req.CacheKey()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAbandonedSimulateFillsCache pins the other half of that
+// contract: a synchronous run whose caller gave up is not stopped. It
+// finishes and fills the result cache for the next identical request.
+func TestAbandonedSimulateFillsCache(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	req := longRequest("cc", 62)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := s.pool.Do(ctx, &req); err == nil {
+		t.Fatal("the run finished inside 20ms; raise longRequest's horizon")
 	}
-	e, err := sim.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 250_000; i++ {
-		if !e.Step() {
-			t.Fatal("run finished before the snapshot position; raise longRequest's horizon")
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if res, ok := s.pool.Lookup(&req); ok {
+			if !res.Cached {
+				t.Fatal("cache hit not marked cached")
+			}
+			return
 		}
-	}
-	snap := snapshot.Capture(key, e)
-
-	type runOut struct {
-		ckpt []byte
-		err  error
-	}
-	ctl := &runControl{}
-	// Requested before the run starts, so the first replay boundary
-	// answers it.
-	liveCh := ctl.Capture()
-	done := make(chan runOut, 1)
-	go func() {
-		_, ckpt, err := s.pool.DoRun(ctx, &req, snap, ctl)
-		done <- runOut{ckpt, err}
-	}()
-	live := <-liveCh
-	if live.err != nil || !bytes.Equal(live.data, snap) {
-		t.Fatalf("live capture during replay = %d bytes (err %v), want the resumed envelope", len(live.data), live.err)
-	}
-
-	ctl.Pause()
-	o := <-done
-	if o.err != nil {
-		t.Fatalf("paused run: %v", o.err)
-	}
-	if !bytes.Equal(o.ckpt, snap) {
-		t.Fatalf("pause returned a %d-byte envelope other than the resumed one; it did not land during the replay", len(o.ckpt))
-	}
-
-	doc := JobCheckpoint{
-		Version:   JobCheckpointVersion,
-		Runs:      []SimRequest{req},
-		Snapshots: map[string]string{"0": base64.StdEncoding.EncodeToString(snap)},
-	}
-	info := decodeResp[JobInfo](t, postJSON(t, hs.URL+"/v1/jobs/restore", doc), http.StatusAccepted)
-	again := decodeResp[JobCheckpoint](t,
-		postJSON(t, hs.URL+"/v1/jobs/"+info.ID+"/checkpoint", nil), http.StatusOK)
-	if !reflect.DeepEqual(again.Snapshots, doc.Snapshots) || len(again.Outcomes) != 0 {
-		t.Fatalf("checkpoint of a replaying job = %d snapshots, %d outcomes; want the restored document back",
-			len(again.Snapshots), len(again.Outcomes))
-	}
-	if st := waitJobAny(t, hs.URL, info.ID).State; st != JobCheckpointed {
-		t.Fatalf("job state = %s, want %s", st, JobCheckpointed)
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned run never filled the cache")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestJobCheckpointRestoreHTTP drives the full HTTP lifecycle: a
 // mixed-policy batch is checkpointed mid-flight on one daemon and
-// restored on a second; the merged outcomes must be byte-identical to
-// an uninterrupted run of the same batch on a third.
+// restored on a second, which re-runs every run without an outcome;
+// the merged outcomes must be byte-identical to an uninterrupted run
+// of the same batch on a third.
 func TestJobCheckpointRestoreHTTP(t *testing.T) {
 	_, hsA := newTestServer(t, Config{Workers: 2, CacheSize: -1})
 	_, hsB := newTestServer(t, Config{Workers: 2, CacheSize: -1})
@@ -253,15 +207,15 @@ func TestJobCheckpointRestoreHTTP(t *testing.T) {
 	if len(doc.Runs) != len(batch.Runs) {
 		t.Fatalf("checkpoint carries %d runs, want %d", len(doc.Runs), len(batch.Runs))
 	}
-	if len(doc.Snapshots) == 0 {
-		t.Fatal("checkpoint has no mid-flight snapshots; the pause landed after completion")
+	if len(doc.Outcomes) >= len(doc.Runs) {
+		t.Fatal("checkpoint has an outcome for every run; the pause landed after completion")
 	}
 	paused := waitJobAny(t, hsA.URL, info.ID)
 	if paused.State != JobCheckpointed {
 		t.Fatalf("source job state = %s, want %s", paused.State, JobCheckpointed)
 	}
-	if paused.Checkpointed != len(doc.Snapshots) {
-		t.Fatalf("job reports %d checkpointed runs, document has %d", paused.Checkpointed, len(doc.Snapshots))
+	if paused.Done != len(doc.Outcomes) {
+		t.Fatalf("job reports %d done runs, document has %d outcomes", paused.Done, len(doc.Outcomes))
 	}
 
 	restored := decodeResp[JobInfo](t, postJSON(t, hsB.URL+"/v1/jobs/restore", doc), http.StatusAccepted)
@@ -284,87 +238,110 @@ func TestJobCheckpointRestoreHTTP(t *testing.T) {
 	}
 }
 
+// tamperedCheckpoint is one invalid variant of a valid document.
+type tamperedCheckpoint struct {
+	name string
+	body []byte
+}
+
+// tamperedCheckpoints derives, from a valid document with at least one
+// outcome, one variant per fail-closed edge of the restore path; every
+// one must be rejected without registering a job.
+func tamperedCheckpoints(t testing.TB, doc JobCheckpoint) []tamperedCheckpoint {
+	t.Helper()
+	var out []tamperedCheckpoint
+	add := func(name string, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tamperedCheckpoint{name, b})
+	}
+	bad := cloneDoc(t, doc)
+	bad.Version = 99
+	add("future version", bad)
+
+	// Version 1 documents carried mid-run replay points; both shapes
+	// are refused, the one with its snapshots map by the strict decode.
+	bad = cloneDoc(t, doc)
+	bad.Version = 1
+	add("version 1", bad)
+	v1 := map[string]any{"version": 1, "runs": doc.Runs, "outcomes": doc.Outcomes,
+		"snapshots": map[string]string{"0": "RFZTU05BUAACAAAAAAAAAA=="}}
+	add("version 1 with snapshots", v1)
+
+	bad = cloneDoc(t, doc)
+	bad.Outcomes = append(bad.Outcomes, RunOutcome{Index: 99})
+	add("outcome index out of range", bad)
+
+	bad = cloneDoc(t, doc)
+	bad.Outcomes = append(bad.Outcomes, bad.Outcomes[0])
+	add("duplicate outcome", bad)
+
+	bad = cloneDoc(t, doc)
+	bad.Runs[0].Policy = "no-such-policy"
+	add("invalid run", bad)
+
+	add("empty document", JobCheckpoint{Version: JobCheckpointVersion})
+
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, tamperedCheckpoint{"trailing data", append(b, []byte(" {}")...)})
+	return out
+}
+
 // TestRestoreRejectsCorruptDocuments exercises every fail-closed edge
-// of the restore path over HTTP: each tampered document must 400, the
-// error counter must move, and the untampered document must still
-// restore afterwards.
+// of the restore path over HTTP: each tampered document must 400
+// without creating a job, the error counter must move for those that
+// decode, and the untampered document must still restore afterwards.
 func TestRestoreRejectsCorruptDocuments(t *testing.T) {
 	_, hsA := newTestServer(t, Config{Workers: 2, CacheSize: -1})
 	_, hsB := newTestServer(t, Config{Workers: 2, CacheSize: -1})
 
+	// A quick run beside a long one: the checkpoint holds one outcome
+	// and one run to re-run.
 	batch := BatchRequest{Name: "ckpt-corrupt"}
-	batch.Runs = append(batch.Runs, longRequest("lpshe", 21), longRequest("cc", 22))
+	batch.Runs = append(batch.Runs, quickstartRequest("lpshe"), longRequest("cc", 22))
 	info := decodeResp[JobInfo](t, postJSON(t, hsA.URL+"/v1/jobs", batch), http.StatusAccepted)
-	time.Sleep(40 * time.Millisecond)
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		ji := decodeResp[JobInfo](t, mustGet(t, hsA.URL+"/v1/jobs/"+info.ID), http.StatusOK)
+		if ji.Done >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the quick run never finished")
+		}
+	}
 	doc := decodeResp[JobCheckpoint](t,
 		postJSON(t, hsA.URL+"/v1/jobs/"+info.ID+"/checkpoint", nil), http.StatusOK)
-	if len(doc.Snapshots) == 0 {
-		t.Fatal("checkpoint has no snapshots; cannot exercise corruption paths")
-	}
-	var snapKey string
-	for k := range doc.Snapshots {
-		snapKey = k
-		break
+	if len(doc.Outcomes) != 1 {
+		t.Fatalf("checkpoint holds %d outcomes, want 1", len(doc.Outcomes))
 	}
 
-	expectReject := func(name string, tampered JobCheckpoint) {
-		t.Helper()
-		resp := postJSON(t, hsB.URL+"/v1/jobs/restore", tampered)
-		defer resp.Body.Close()
+	validated := 0
+	for _, tc := range tamperedCheckpoints(t, doc) {
+		var probe JobCheckpoint
+		if decodeStrict(bytes.NewReader(tc.body), &probe) == nil {
+			validated++ // rejected by validation, which counts the error
+		}
+		resp, err := http.Post(hsB.URL+"/v1/jobs/restore", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: restore status = %d, want 400", name, resp.StatusCode)
+			t.Fatalf("%s: restore status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		if jobs := decodeResp[[]JobInfo](t, mustGet(t, hsB.URL+"/v1/jobs"), http.StatusOK); len(jobs) != 0 {
+			t.Fatalf("%s: rejected restore registered %d jobs", tc.name, len(jobs))
 		}
 	}
 
-	bad := cloneDoc(t, doc)
-	bad.Version = 99
-	expectReject("future version", bad)
-
-	bad = cloneDoc(t, doc)
-	env, err := base64.StdEncoding.DecodeString(bad.Snapshots[snapKey])
-	if err != nil {
-		t.Fatal(err)
-	}
-	env[len(env)/2] ^= 0x40 // flip one bit mid-body: checksum must catch it
-	bad.Snapshots[snapKey] = base64.StdEncoding.EncodeToString(env)
-	expectReject("flipped bit", bad)
-
-	bad = cloneDoc(t, doc)
-	bad.Snapshots[snapKey] = "!!! not base64 !!!"
-	expectReject("invalid base64", bad)
-
-	// A snapshot filed under a different run's index: the envelope's
-	// scenario-key binding must refuse the swap.
-	bad = cloneDoc(t, doc)
-	other := "0"
-	if snapKey == "0" {
-		other = "1"
-	}
-	bad.Snapshots[other] = bad.Snapshots[snapKey]
-	delete(bad.Snapshots, snapKey)
-	expectReject("snapshot bound to wrong run", bad)
-
-	bad = cloneDoc(t, doc)
-	bad.Outcomes = append(bad.Outcomes, RunOutcome{Index: 99})
-	expectReject("outcome index out of range", bad)
-
-	bad = cloneDoc(t, doc)
-	idx, err := strconv.Atoi(snapKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Outcomes = append(bad.Outcomes, RunOutcome{Index: idx})
-	expectReject("run with both outcome and snapshot", bad)
-
-	expectReject("empty document", JobCheckpoint{Version: JobCheckpointVersion})
-
-	resp, err := http.Get(hsB.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := decodeResp[MetricsSnapshot](t, resp, http.StatusOK)
-	if m.Restores["error"] < 7 {
-		t.Errorf("restore error counter = %d, want >= 7", m.Restores["error"])
+	m := decodeResp[MetricsSnapshot](t, mustGet(t, hsB.URL+"/metrics"), http.StatusOK)
+	if m.Restores["error"] < uint64(validated) {
+		t.Errorf("restore error counter = %d, want >= %d", m.Restores["error"], validated)
 	}
 
 	// The untampered document still restores and completes.
@@ -373,6 +350,93 @@ func TestRestoreRejectsCorruptDocuments(t *testing.T) {
 	if final.State != JobDone {
 		t.Fatalf("restore after rejects: state = %s (error %q), want done", final.State, final.Error)
 	}
+}
+
+// FuzzJobCheckpoint fuzzes the one way a checkpoint document enters a
+// daemon, from POST /v1/jobs/restore or a file in the checkpoint
+// directory: the strict decode, then the store's Restore, which
+// validates before it registers. No input may panic; a rejected one
+// returns an error and registers nothing; an accepted one registers
+// exactly one job and survives a marshal round trip unchanged.
+func FuzzJobCheckpoint(f *testing.F) {
+	for _, doc := range seedCheckpoints(f) {
+		b, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		for _, tc := range tamperedCheckpoints(f, doc) {
+			f.Add(tc.body)
+		}
+	}
+	stopped, stop := context.WithCancel(context.Background())
+	stop() // restored jobs settle at once without running anything
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc JobCheckpoint
+		decErr := decodeStrict(bytes.NewReader(data), &doc)
+		store := NewJobStore("f", func() int { return 1 },
+			func(ctx context.Context, _ *SimRequest) (SimResult, error) { return SimResult{}, ctx.Err() },
+			&obs.Counter{}, &obs.Counter{}, nil)
+		var err error
+		if decErr == nil {
+			_, err = store.Restore(stopped, &doc)
+		}
+		registered := len(store.List())
+		if decErr != nil || err != nil {
+			if registered != 0 {
+				t.Fatalf("rejected document (decode %v, restore %v) registered %d jobs", decErr, err, registered)
+			}
+			return
+		}
+		if registered != 1 {
+			t.Fatalf("accepted document registered %d jobs, want 1", registered)
+		}
+		b1, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("accepted document does not marshal: %v", err)
+		}
+		var again JobCheckpoint
+		if err := decodeStrict(bytes.NewReader(b1), &again); err != nil {
+			t.Fatalf("accepted document does not decode after marshalling: %v", err)
+		}
+		if b2, _ := json.Marshal(again); !bytes.Equal(b1, b2) {
+			t.Fatalf("marshal round trip changed the document:\n%s\n%s", b1, b2)
+		}
+	})
+}
+
+// seedCheckpoints produces real documents from a daemon's job store:
+// one taken from a job paused with one run finished and one in flight,
+// and one of a finished job.
+func seedCheckpoints(tb testing.TB) []JobCheckpoint {
+	s := New(Config{Workers: 2, CacheSize: -1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	ctx := context.Background()
+	wait := func(j *job, done func(JobInfo) bool) {
+		for deadline := time.Now().Add(60 * time.Second); !done(j.info(false)); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				tb.Fatal("seed job did not progress")
+			}
+		}
+	}
+	var docs []JobCheckpoint
+	paused := s.jobs.Create(ctx, "seed-paused", []SimRequest{quickstartRequest("lpshe"), longRequest("dra", 71)})
+	wait(paused, func(i JobInfo) bool { return i.Done >= 1 })
+	doc, err := s.jobs.Checkpoint(ctx, paused.id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	docs = append(docs, *doc)
+	finished := s.jobs.Create(ctx, "seed-finished", []SimRequest{quickstartRequest("cc"), quickstartRequest("la")})
+	wait(finished, func(i JobInfo) bool { return i.State == JobDone })
+	if doc, err = s.jobs.Checkpoint(ctx, finished.id); err != nil {
+		tb.Fatal(err)
+	}
+	return append(docs, *doc)
 }
 
 // TestShutdownCheckpointsToDisk pins the drain contract: a blown
@@ -413,8 +477,13 @@ func TestShutdownCheckpointsToDisk(t *testing.T) {
 	if err := dec.Decode(&doc); err != nil {
 		t.Fatalf("drain wrote an undecodable document: %v", err)
 	}
-	if doc.JobID != info.ID || len(doc.Runs) != 3 {
-		t.Fatalf("drain document job=%s runs=%d, want job=%s runs=3", doc.JobID, len(doc.Runs), info.ID)
+	if doc.Version != JobCheckpointVersion || doc.JobID != info.ID || len(doc.Runs) != 3 {
+		t.Fatalf("drain document version=%d job=%s runs=%d, want version=%d job=%s runs=3",
+			doc.Version, doc.JobID, len(doc.Runs), JobCheckpointVersion, info.ID)
+	}
+	if len(doc.Outcomes) >= len(doc.Runs) {
+		t.Fatalf("drain document has %d outcomes for %d runs; the drain landed after completion",
+			len(doc.Outcomes), len(doc.Runs))
 	}
 
 	// Second daemon, same directory: recovery resumes the job.
@@ -482,9 +551,10 @@ func TestWriteCheckpointFileReplaces(t *testing.T) {
 	}
 }
 
-// TestAutoCheckpoint verifies the periodic snapshotter bounds crash
+// TestAutoCheckpoint verifies the periodic checkpointer bounds crash
 // loss: with an interval configured, a running job's document shows
-// up on disk without any drain or API call.
+// up on disk without any drain or API call, and it records only the
+// outcomes so far.
 func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	_, hs := newTestServer(t, Config{
@@ -507,9 +577,22 @@ func TestAutoCheckpoint(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no auto-checkpoint document appeared while the job ran")
 	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc JobCheckpoint
+	if err := decodeStrict(bytes.NewReader(data), &doc); err != nil {
+		t.Fatalf("auto-checkpoint wrote an undecodable document: %v", err)
+	}
+	if doc.Version != JobCheckpointVersion || len(doc.Runs) != 2 || len(doc.Outcomes) >= len(doc.Runs) {
+		t.Fatalf("auto-checkpoint document version=%d runs=%d outcomes=%d, want version=%d, 2 runs, fewer outcomes",
+			doc.Version, len(doc.Runs), len(doc.Outcomes), JobCheckpointVersion)
+	}
 
-	m := decodeResp[MetricsSnapshot](t, mustGet(t, hs.URL+"/metrics"), http.StatusOK)
-	if m.Checkpoints < 1 {
+	// The counter moves once the write returns, after the directory
+	// sync that follows the rename the file appeared by.
+	if m, ok := waitMetrics(t, hs.URL, 10*time.Second, func(m MetricsSnapshot) bool { return m.Checkpoints >= 1 }); !ok {
 		t.Errorf("checkpoint counter = %d, want >= 1", m.Checkpoints)
 	}
 
@@ -546,9 +629,8 @@ func TestCheckpointMetricsExposition(t *testing.T) {
 	// path.
 	doc := decodeResp[JobCheckpoint](t,
 		postJSON(t, hs.URL+"/v1/jobs/"+info.ID+"/checkpoint", nil), http.StatusOK)
-	if len(doc.Outcomes) != 2 || len(doc.Snapshots) != 0 {
-		t.Fatalf("finished-job checkpoint: outcomes=%d snapshots=%d, want 2/0",
-			len(doc.Outcomes), len(doc.Snapshots))
+	if len(doc.Outcomes) != 2 {
+		t.Fatalf("finished-job checkpoint: outcomes=%d, want 2", len(doc.Outcomes))
 	}
 	restored := decodeResp[JobInfo](t, postJSON(t, hs.URL+"/v1/jobs/restore", doc), http.StatusAccepted)
 	if final := waitJobAny(t, hs.URL, restored.ID); final.State != JobDone {

@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +24,9 @@ const (
 	JobFailed    = "failed"
 	JobCancelled = "cancelled"
 	// JobCheckpointed is the terminal state of a paused job: its
-	// in-flight runs were snapshotted mid-simulation and the resulting
-	// checkpoint document can be restored here or on another daemon.
+	// in-flight runs were stopped and discarded, and its checkpoint
+	// document (runs plus recorded outcomes) can be restored here or
+	// on another daemon, which re-runs every run without an outcome.
 	JobCheckpointed = "checkpointed"
 )
 
@@ -38,8 +37,6 @@ type JobEvent struct {
 	Total  int    `json:"total"`
 	Done   int    `json:"done"`
 	Failed int    `json:"failed"`
-	// Checkpointed counts runs paused with a mid-flight snapshot.
-	Checkpointed int `json:"checkpointed,omitempty"`
 	// Index/Policy/Energy describe the run that just finished
 	// (progress events only).
 	Index  int     `json:"index,omitempty"`
@@ -54,15 +51,14 @@ type job struct {
 	name    string
 	created time.Time
 
-	cancel context.CancelFunc
+	// cancel cancels the job's own context (DELETE, shutdown); pause
+	// cancels only the run context derived from it (checkpoint). Either
+	// way runs not yet started stay unstarted and in-flight runs stop
+	// at their next step boundary, discarding their partial work.
+	cancel, pause context.CancelFunc
 	// onLost observes every event dropped on a full subscriber
 	// buffer (the store wires it to its lost counter, when it has one).
 	onLost func()
-
-	// pausing flips once when a checkpoint is requested: runs not yet
-	// started stay unstarted, in-flight runs stop at their next step
-	// boundary with a snapshot.
-	pausing atomic.Bool
 
 	mu       sync.Mutex
 	state    string
@@ -79,29 +75,20 @@ type job struct {
 	// jobs are seeded with their checkpoint's outcomes and never
 	// re-execute those indices).
 	completed map[int]bool
-	// resume holds the snapshot envelopes a restored job resumes its
-	// interrupted runs from.
-	resume map[int][]byte
-	// snapshots collects the envelopes captured by this incarnation's
-	// pause (keyed by run index).
-	snapshots map[int][]byte
-	// ctls tracks the control handle of every in-flight run.
-	ctls map[int]*runControl
 }
 
 func (j *job) info(withResults bool) JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := JobInfo{
-		ID:           j.id,
-		Name:         j.name,
-		State:        j.state,
-		Total:        len(j.runs),
-		Done:         j.done,
-		Failed:       j.failed,
-		Checkpointed: len(j.snapshots),
-		Created:      j.created.UTC().Format(time.RFC3339Nano),
-		Error:        j.firstErr,
+		ID:      j.id,
+		Name:    j.name,
+		State:   j.state,
+		Total:   len(j.runs),
+		Done:    j.done,
+		Failed:  j.failed,
+		Created: j.created.UTC().Format(time.RFC3339Nano),
+		Error:   j.firstErr,
 	}
 	if !j.started.IsZero() {
 		info.Started = j.started.UTC().Format(time.RFC3339Nano)
@@ -153,7 +140,6 @@ func (j *job) recordRun(index int, out outcome) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.completed[index] = true
-	delete(j.resume, index)
 	ro := RunOutcome{Index: index}
 	if out.err != nil {
 		ro.Error = out.err.Error()
@@ -180,19 +166,6 @@ func (j *job) recordRun(index int, out outcome) {
 	j.publish(ev)
 }
 
-// recordCheckpoint stores one run's pause envelope and notifies
-// subscribers.
-func (j *job) recordCheckpoint(index int, env []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.snapshots[index] = env
-	j.publish(JobEvent{
-		Type: "progress", State: j.state,
-		Total: len(j.runs), Done: j.done, Failed: j.failed,
-		Index: index, Checkpointed: len(j.snapshots),
-	})
-}
-
 // finish moves the job to a terminal state.
 func (j *job) finish(state string) {
 	j.mu.Lock()
@@ -204,118 +177,23 @@ func (j *job) finish(state string) {
 	j.ended = time.Now()
 	sort.Slice(j.outcomes, func(a, b int) bool { return j.outcomes[a].Index < j.outcomes[b].Index })
 	j.publish(JobEvent{Type: "end", State: state, Total: len(j.runs), Done: j.done, Failed: j.failed,
-		Checkpointed: len(j.snapshots), Error: j.firstErr})
+		Error: j.firstErr})
 	close(j.finished)
 }
 
-// requestPause flips the job into pausing mode and asks every
-// in-flight run to checkpoint at its next step boundary. The store
-// order (pausing first, then the ctls walk) pairs with the runner's
-// register-then-check order, so a run can never slip between the two
-// and execute unpaused.
-func (j *job) requestPause() {
-	j.pausing.Store(true)
-	j.mu.Lock()
-	ctls := make([]*runControl, 0, len(j.ctls))
-	for _, c := range j.ctls {
-		ctls = append(ctls, c)
-	}
-	j.mu.Unlock()
-	for _, c := range ctls {
-		c.Pause()
-	}
-}
-
-// checkpointDoc assembles the job's portable checkpoint document.
-// Snapshot precedence per unfinished run: an envelope captured by this
-// incarnation's pause wins; otherwise an unconsumed restore envelope
-// travels onward (a run that never got scheduled between restore and
-// the next pause keeps its original snapshot rather than losing it).
+// checkpointDoc assembles the job's portable checkpoint document: its
+// runs and the outcomes recorded so far. A restore re-runs every run
+// without an outcome from its request.
 func (j *job) checkpointDoc() *JobCheckpoint {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	doc := &JobCheckpoint{
+	return &JobCheckpoint{
 		Version:  JobCheckpointVersion,
 		Name:     j.name,
 		JobID:    j.id,
 		Runs:     append([]SimRequest(nil), j.runs...),
 		Outcomes: append([]RunOutcome(nil), j.outcomes...),
 	}
-	snaps := map[string]string{}
-	for i, env := range j.snapshots {
-		if !j.completed[i] {
-			snaps[strconv.Itoa(i)] = base64.StdEncoding.EncodeToString(env)
-		}
-	}
-	for i, env := range j.resume {
-		if _, have := snaps[strconv.Itoa(i)]; !have && !j.completed[i] {
-			snaps[strconv.Itoa(i)] = base64.StdEncoding.EncodeToString(env)
-		}
-	}
-	if len(snaps) > 0 {
-		doc.Snapshots = snaps
-	}
-	return doc
-}
-
-// liveCheckpoint assembles a checkpoint document without pausing the
-// job: every in-flight run is asked for a snapshot at its next step
-// boundary, with wait bounding how long a straggler is given. A run
-// that cannot answer in time keeps its best previous envelope (pause
-// or restore), and runs that finish mid-capture are recorded by their
-// outcome instead — the document is always internally consistent.
-func (j *job) liveCheckpoint(wait time.Duration) *JobCheckpoint {
-	j.mu.Lock()
-	reqs := make(map[int]<-chan captureResult, len(j.ctls))
-	for i, c := range j.ctls {
-		reqs[i] = c.Capture()
-	}
-	j.mu.Unlock()
-
-	fresh := map[int][]byte{}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	expired := false
-	take := func(i int, res captureResult) {
-		if res.err == nil && res.data != nil {
-			fresh[i] = res.data
-		}
-	}
-	for i, ch := range reqs {
-		if !expired {
-			select {
-			case res := <-ch:
-				take(i, res)
-				continue
-			case <-timer.C:
-				expired = true
-			}
-		}
-		select { // deadline passed: collect only what is already there
-		case res := <-ch:
-			take(i, res)
-		default:
-		}
-	}
-
-	doc := j.checkpointDoc()
-	j.mu.Lock()
-	for i, env := range fresh {
-		if j.completed[i] {
-			continue
-		}
-		if doc.Snapshots == nil {
-			doc.Snapshots = map[string]string{}
-		}
-		doc.Snapshots[strconv.Itoa(i)] = base64.StdEncoding.EncodeToString(env)
-	}
-	// A run can complete between checkpointDoc and the fresh merge;
-	// drop any snapshot that now collides with an outcome.
-	for _, ro := range doc.Outcomes {
-		delete(doc.Snapshots, strconv.Itoa(ro.Index))
-	}
-	j.mu.Unlock()
-	return doc
 }
 
 // JobStore owns one service's batch jobs and their runner goroutines.
@@ -326,7 +204,7 @@ func (j *job) liveCheckpoint(wait time.Duration) *JobCheckpoint {
 // a job's results do not depend on which runs finished first — nor,
 // on the fleet, on which worker ran them.
 type JobStore struct {
-	run    runFunc
+	run    func(context.Context, *SimRequest) (SimResult, error)
 	width  func() int
 	prefix string
 
@@ -341,26 +219,14 @@ type JobStore struct {
 	order []string
 }
 
-// runFunc executes one run of a job under the contract of pool.DoRun:
-// resume, when non-nil, is the snapshot envelope to resume from, and
-// ctl lets the store pause or live-capture the run; a paused run
-// returns its envelope and a nil error.
-type runFunc func(ctx context.Context, req *SimRequest, resume []byte, ctl *runControl) (SimResult, []byte, error)
-
-// NewJobStore builds a store whose runs can be neither paused nor
-// resumed, so its jobs are never checkpointed (the dvsfleet
-// coordinator's, whose runs execute on other processes). Jobs get the
-// IDs prefix+"1", prefix+"2", …; each keeps at most width() runs in
-// flight, executes them through run, and bumps created when accepted
-// and finished when terminal.
-func NewJobStore(prefix string, width func() int, run func(context.Context, *SimRequest) (SimResult, error), created, finished *obs.Counter) *JobStore {
-	return newJobStore(prefix, width, func(ctx context.Context, req *SimRequest, _ []byte, _ *runControl) (SimResult, []byte, error) {
-		res, err := run(ctx, req)
-		return res, nil, err
-	}, created, finished, nil)
-}
-
-func newJobStore(prefix string, width func() int, run runFunc, created, finished, lost *obs.Counter) *JobStore {
+// NewJobStore builds a store whose jobs get the IDs prefix+"1",
+// prefix+"2", …; each job keeps at most width() runs in flight and
+// executes them through run. run must return once its context is
+// done: that is how a pause or a cancel stops in-flight runs. The
+// store bumps created when a job is accepted, finished when it is
+// terminal, and lost (when non-nil) for every SSE event dropped on a
+// full subscriber buffer.
+func NewJobStore(prefix string, width func() int, run func(context.Context, *SimRequest) (SimResult, error), created, finished, lost *obs.Counter) *JobStore {
 	return &JobStore{run: run, width: width, prefix: prefix,
 		created: created, finished: finished, lost: lost, jobs: map[string]*job{}}
 }
@@ -376,9 +242,6 @@ func (s *JobStore) newJob(name string, runs []SimRequest) *job {
 		subs:      map[chan JobEvent]struct{}{},
 		finished:  make(chan struct{}),
 		completed: map[int]bool{},
-		resume:    map[int][]byte{},
-		snapshots: map[int][]byte{},
-		ctls:      map[int]*runControl{},
 	}
 	if s.lost != nil {
 		j.onLost = s.lost.Inc
@@ -389,13 +252,14 @@ func (s *JobStore) newJob(name string, runs []SimRequest) *job {
 // start registers j and launches its runner under a child of parent.
 func (s *JobStore) start(parent context.Context, j *job) *job {
 	ctx, cancel := context.WithCancel(parent)
-	j.cancel = cancel
+	runCtx, pause := context.WithCancel(ctx)
+	j.cancel, j.pause = cancel, pause
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.created.Inc()
-	go s.execute(ctx, j)
+	go s.execute(ctx, runCtx, j)
 	return j
 }
 
@@ -406,15 +270,13 @@ func (s *JobStore) Create(parent context.Context, name string, runs []SimRequest
 
 // Restore registers and resumes a job from a checkpoint document.
 // The new job gets a fresh ID, is seeded with the document's recorded
-// outcomes, and re-enters the run loop: finished runs are skipped,
-// snapshotted runs resume mid-simulation, untouched runs start fresh.
+// outcomes, and re-enters the run loop: finished runs are skipped and
+// every other run executes from its request.
 func (s *JobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, error) {
-	snaps, err := doc.materialize()
-	if err != nil {
+	if err := doc.validate(); err != nil {
 		return nil, err
 	}
 	j := s.newJob(doc.Name, append([]SimRequest(nil), doc.Runs...))
-	j.resume = snaps
 	for _, ro := range doc.Outcomes {
 		j.outcomes = append(j.outcomes, ro)
 		j.completed[ro.Index] = true
@@ -429,10 +291,10 @@ func (s *JobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, er
 	return s.start(parent, j), nil
 }
 
-// execute runs a job's runs, keeping at most width() outstanding so
-// one huge job cannot monopolize the executor against concurrent jobs
-// and single-run requests.
-func (s *JobStore) execute(ctx context.Context, j *job) {
+// execute runs a job's runs under runCtx, keeping at most width()
+// outstanding so one huge job cannot monopolize the executor against
+// concurrent jobs and single-run requests.
+func (s *JobStore) execute(ctx, runCtx context.Context, j *job) {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.started = time.Now()
@@ -442,55 +304,37 @@ func (s *JobStore) execute(ctx context.Context, j *job) {
 	// ForEach error, so cancellation (or a pause) is the only thing
 	// that stops the sweep early.
 	_ = par.ForEach(s.width(), len(j.runs), func(i int) error {
-		if ctx.Err() != nil {
-			return nil // cancelled: stop submitting further runs
-		}
-		if j.pausing.Load() {
-			return nil // pausing: unstarted runs stay unstarted
+		if runCtx.Err() != nil {
+			return nil // cancelled or pausing: unstarted runs stay unstarted
 		}
 		j.mu.Lock()
-		if j.completed[i] {
-			j.mu.Unlock()
+		recorded := j.completed[i]
+		j.mu.Unlock()
+		if recorded {
 			return nil // restored job: this run's outcome is recorded
 		}
-		snap := j.resume[i]
-		ctl := &runControl{}
-		j.ctls[i] = ctl
-		j.mu.Unlock()
-		if j.pausing.Load() {
-			// requestPause copied ctls before this run registered;
-			// honor the pause here instead of running unpausable.
-			j.mu.Lock()
-			delete(j.ctls, i)
-			j.mu.Unlock()
-			return nil
-		}
-		res, ckpt, err := s.run(ctx, &j.runs[i], snap, ctl)
-		j.mu.Lock()
-		delete(j.ctls, i)
-		j.mu.Unlock()
-		if ckpt != nil {
-			j.recordCheckpoint(i, ckpt)
-			return nil
-		}
-		if ctx.Err() != nil && err != nil {
-			return nil // cancelled, not a run failure
+		res, err := s.run(runCtx, &j.runs[i])
+		if err != nil && runCtx.Err() != nil {
+			return nil // stopped by the pause or cancel, not a run failure
 		}
 		j.recordRun(i, outcome{res: res, err: err})
 		return nil
 	})
 
-	done := func() int { j.mu.Lock(); defer j.mu.Unlock(); return j.done }()
+	j.mu.Lock()
+	done, failed := j.done, j.failed
+	j.mu.Unlock()
 	state := JobDone
 	switch {
 	case ctx.Err() != nil:
 		state = JobCancelled
-	case j.pausing.Load() && done < len(j.runs):
+	case runCtx.Err() != nil && done < len(j.runs):
 		state = JobCheckpointed
-	case func() bool { j.mu.Lock(); defer j.mu.Unlock(); return j.failed > 0 }():
+	case failed > 0:
 		state = JobFailed
 	}
 	j.finish(state)
+	j.pause() // release the run context
 	s.finished.Inc()
 }
 
@@ -526,17 +370,17 @@ func (s *JobStore) all() []*job {
 }
 
 // Checkpoint pauses a job and returns its checkpoint document once
-// every in-flight run has settled (or ctx expires — the job keeps
-// draining toward checkpointed in the background then, and a retry
-// will find it settled). Checkpointing an already-terminal job just
-// returns its document: for a finished job that is a pure outcome
-// record, still restorable.
+// its runner has settled (or ctx expires — the job keeps settling
+// toward checkpointed in the background then, and a retry will find
+// it settled). Checkpointing an already-terminal job just returns its
+// document: for a finished job every run has its outcome, and a
+// restore re-runs nothing.
 func (s *JobStore) Checkpoint(ctx context.Context, id string) (*JobCheckpoint, error) {
 	j, ok := s.Get(id)
 	if !ok {
 		return nil, errNoSuchJob
 	}
-	j.requestPause()
+	j.pause()
 	select {
 	case <-j.finished:
 	case <-ctx.Done():
@@ -560,7 +404,7 @@ func (s *JobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
 		if terminal {
 			continue
 		}
-		j.requestPause()
+		j.pause()
 		pending = append(pending, j)
 	}
 	var docs []*JobCheckpoint
@@ -671,7 +515,7 @@ func streamJob(ctx context.Context, sink sseSink, j *job, snapshot JobEvent, ch 
 				default:
 					info := j.info(false)
 					return send(JobEvent{Type: "end", State: info.State, Total: info.Total, Done: info.Done,
-						Failed: info.Failed, Checkpointed: info.Checkpointed, Error: info.Error})
+						Failed: info.Failed, Error: info.Error})
 				}
 			}
 		case <-ctx.Done():

@@ -5,110 +5,29 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvsslack/internal/obs"
 	"dvsslack/internal/sim"
-	"dvsslack/internal/snapshot"
 )
 
 // ErrDraining is returned for work submitted after shutdown began.
 var ErrDraining = errors.New("server: draining, not accepting new work")
 
-// errRunSettled answers a live-capture request that arrived after the
-// run finished (its outcome, not a snapshot, is the record then).
-var errRunSettled = errors.New("server: run already settled")
-
-// captureResult is one answered snapshot request: the framed envelope
-// or the reason there is none.
-type captureResult struct {
-	data []byte
-	err  error
-}
-
-// runControl is the handle the job layer holds on one in-flight run.
-// The executing worker polls it at every step boundary — the only
-// points where the engine state is snapshottable — so a pause or a
-// live capture lands within one scheduling event of the request, with
-// the hot path paying two atomic loads per step. That holds while a
-// resumed run replays its prefix too: the answer there is the
-// envelope the run resumed from.
-type runControl struct {
-	pause atomic.Bool  // checkpoint-and-stop at the next boundary
-	want  atomic.Int32 // pending live-capture requests
-
-	mu      sync.Mutex
-	settled bool
-	final   captureResult // answer for captures after settling
-	waiters []chan captureResult
-}
-
-// Pause asks the worker to snapshot and stop at its next boundary.
-func (c *runControl) Pause() { c.pause.Store(true) }
-
-// Capture asks for a snapshot without stopping the run. The returned
-// channel receives exactly one result; a run that settles (finishes
-// or pauses) before the next boundary answers with its final state —
-// errRunSettled for a completed run, the pause envelope for a paused
-// one.
-func (c *runControl) Capture() <-chan captureResult {
-	ch := make(chan captureResult, 1)
-	c.mu.Lock()
-	if c.settled {
-		final := c.final
-		c.mu.Unlock()
-		ch <- final
-		return ch
-	}
-	c.want.Add(1)
-	c.waiters = append(c.waiters, ch)
-	c.mu.Unlock()
-	return ch
-}
-
-// answer delivers one live capture to every pending waiter (worker
-// side). want and waiters move together under mu, so the worker's
-// lock-free want check can overshoot by at most one harmless capture.
-func (c *runControl) answer(data []byte, err error) {
-	c.mu.Lock()
-	ws := c.waiters
-	c.waiters = nil
-	c.want.Add(-int32(len(ws)))
-	c.mu.Unlock()
-	for _, ch := range ws {
-		ch <- captureResult{data: data, err: err}
-	}
-}
-
-// settle records the run's final capture answer (worker side) and
-// releases anyone still waiting.
-func (c *runControl) settle(data []byte, err error) {
-	c.mu.Lock()
-	if c.settled {
-		c.mu.Unlock()
-		return
-	}
-	c.settled = true
-	c.final = captureResult{data: data, err: err}
-	ws := c.waiters
-	c.waiters = nil
-	c.mu.Unlock()
-	for _, ch := range ws {
-		ch <- c.final
-	}
-}
+// errStopped is the outcome of a job run abandoned at a step
+// boundary because its job was paused or cancelled.
+var errStopped = errors.New("server: run stopped")
 
 // work is one queued simulation.
 type work struct {
 	req *SimRequest
 	key string // cache + scenario key; "" disables caching for this run
-	// snapshot, when non-nil, resumes the run from a checkpoint
-	// envelope (replaying its prefix) instead of starting fresh.
-	snapshot []byte
-	// ctl, when non-nil, lets the job layer pause or live-capture the
-	// run at step boundaries.
-	ctl *runControl
+	// stop, when non-nil, abandons the run once it is closed: before
+	// it starts, or at its next step boundary, leaving no result and
+	// no cache entry. Job runs set it to their run context's Done;
+	// synchronous runs leave it nil and always finish, so a run whose
+	// caller gave up still fills the cache.
+	stop <-chan struct{}
 	// sc is the submitting request's span context; the executing
 	// worker parents its sim.run span under it (zero = no trace).
 	sc obs.SpanContext
@@ -117,20 +36,20 @@ type work struct {
 	done chan outcome
 }
 
-type outcome struct {
-	res SimResult
-	// ckpt is the pause envelope when the run was checkpointed instead
-	// of finished (res is then meaningless).
-	ckpt []byte
-	err  error
+// stopped reports whether w's stop channel is closed (never, when it
+// is nil).
+func (w *work) stopped() bool {
+	select {
+	case <-w.stop:
+		return true
+	default:
+		return false
+	}
 }
 
-// settle forwards a terminal answer to the run's control (if any), so
-// capture waiters never hang on a run that exits without stepping.
-func (w *work) settle(data []byte, err error) {
-	if w.ctl != nil {
-		w.ctl.settle(data, err)
-	}
+type outcome struct {
+	res SimResult
+	err error
 }
 
 // pool executes simulations on a fixed set of worker goroutines fed
@@ -190,18 +109,18 @@ func (p *pool) worker() {
 
 // execute runs one work item, consulting the cache on both sides of
 // the simulation (a second identical request may have been queued
-// before the first finished). Runs resuming from a snapshot skip the
-// cache recheck — resume semantics, not memoization, are what the
-// caller asked for. The engine is driven stepwise so a runControl can
-// pause or live-capture the run at any step boundary.
+// before the first finished). A stoppable run checks its stop channel
+// before it starts and at every step boundary.
 func (p *pool) execute(w *work) outcome {
-	if w.key != "" && w.snapshot == nil {
+	if w.key != "" {
 		if res, ok := p.cache.Recheck(w.key); ok {
 			res.Cached = true
 			res.WallNanos = 0
-			w.settle(nil, errRunSettled)
 			return outcome{res: res}
 		}
+	}
+	if w.stopped() {
+		return outcome{err: errStopped}
 	}
 	// Decision flight recorder: chained after the auditor when both
 	// are on. Observers are passive (they only read engine state the
@@ -217,64 +136,22 @@ func (p *pool) execute(w *work) outcome {
 	}
 	cfg, aud, err := w.req.Lower(flight)
 	if err != nil {
-		w.settle(nil, err)
 		return outcome{err: err}
 	}
 	start := time.Now()
-	var env *snapshot.Envelope
-	if w.snapshot != nil {
-		if env, err = snapshot.Open(w.snapshot, w.key); err != nil {
-			w.settle(nil, err)
-			return outcome{err: err}
-		}
-	}
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
-		w.settle(nil, err)
 		return outcome{err: err}
 	}
-	if env != nil {
-		// Replaying the prefix polls the control like the run below,
-		// but the replay point has not moved, so a pause or a live
-		// capture answers with the envelope being replayed.
-		var stop func() bool
-		if w.ctl != nil {
-			stop = func() bool {
-				if w.ctl.pause.Load() {
-					return true
-				}
-				if w.ctl.want.Load() > 0 {
-					w.ctl.answer(w.snapshot, nil)
-				}
-				return false
+	if w.stop != nil {
+		for e.Step() {
+			if w.stopped() {
+				return outcome{err: errStopped}
 			}
 		}
-		reached, err := env.Replay(e, stop)
-		if err != nil {
-			w.settle(nil, err)
-			return outcome{err: err}
-		}
-		if !reached {
-			w.ctl.settle(w.snapshot, nil)
-			return outcome{ckpt: w.snapshot}
-		}
 	}
-	for e.Step() {
-		if w.ctl == nil {
-			continue
-		}
-		if w.ctl.pause.Load() {
-			data := snapshot.Capture(w.key, e)
-			w.ctl.settle(data, nil)
-			return outcome{ckpt: data}
-		}
-		if w.ctl.want.Load() > 0 {
-			w.ctl.answer(snapshot.Capture(w.key, e), nil)
-		}
-	}
-	simRes, err := e.Finish()
+	simRes, err := e.Run() // the whole run, or only Finish after the loop
 	wall := time.Since(start)
-	w.settle(nil, errRunSettled)
 	p.met.simDone(cfg.Policy.Name(), simRes.Time, wall, err)
 	p.emitSpans(w, cfg.Policy.Name(), fo, start, wall)
 	if err != nil {
@@ -345,31 +222,31 @@ func (p *pool) Lookup(req *SimRequest) (SimResult, bool) {
 // cancellation abandons the wait (an already-queued run still
 // executes and populates the cache).
 func (p *pool) Do(ctx context.Context, req *SimRequest) (SimResult, error) {
-	res, _, err := p.DoRun(ctx, req, nil, nil)
-	return res, err
+	return p.submit(ctx, req, nil)
 }
 
-// DoRun is Do with checkpoint plumbing: snap, when non-nil, resumes
-// the run from a snapshot envelope (skipping the cache fast path —
-// the caller wants the remainder of that run, not a memoized result),
-// and ctl, when non-nil, lets the caller pause or live-capture the
-// run. A paused run returns a nil error and a non-nil envelope.
-func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *runControl) (SimResult, []byte, error) {
+// DoJob is Do for one run of a job: once ctx is done the run itself is
+// abandoned too, before it starts or at its next step boundary, so a
+// paused or cancelled job frees its workers at once.
+func (p *pool) DoJob(ctx context.Context, req *SimRequest) (SimResult, error) {
+	return p.submit(ctx, req, ctx.Done())
+}
+
+// submit runs req through the pool; stop is the work item's stop
+// channel (nil: the run always finishes).
+func (p *pool) submit(ctx context.Context, req *SimRequest, stop <-chan struct{}) (SimResult, error) {
 	key, err := req.CacheKey()
 	if err != nil {
 		key = "" // uncacheable, still runnable
 	}
-	if key != "" && snap == nil {
+	if key != "" {
 		if res, ok := p.cache.Get(key); ok {
 			res.Cached = true
 			res.WallNanos = 0
-			if ctl != nil {
-				ctl.settle(nil, errRunSettled)
-			}
-			return res, nil, nil
+			return res, nil
 		}
 	}
-	w := &work{req: req, key: key, snapshot: snap, ctl: ctl, done: make(chan outcome, 1)}
+	w := &work{req: req, key: key, stop: stop, done: make(chan outcome, 1)}
 	if sc, ok := obs.SpanContextFromContext(ctx); ok {
 		w.sc = sc
 	}
@@ -380,7 +257,7 @@ func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *run
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return SimResult{}, nil, ErrDraining
+		return SimResult{}, ErrDraining
 	}
 	p.producers.Add(1)
 	p.mu.Unlock()
@@ -394,14 +271,14 @@ func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *run
 	}
 	p.producers.Done()
 	if !enqueued {
-		return SimResult{}, nil, ctx.Err()
+		return SimResult{}, ctx.Err()
 	}
 
 	select {
 	case out := <-w.done:
-		return out.res, out.ckpt, out.err
+		return out.res, out.err
 	case <-ctx.Done():
-		return SimResult{}, nil, ctx.Err()
+		return SimResult{}, ctx.Err()
 	}
 }
 

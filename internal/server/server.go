@@ -69,9 +69,10 @@ type Config struct {
 	// next start (cmd/dvsd -checkpoint-dir).
 	CheckpointDir string
 	// CheckpointInterval, when positive (and CheckpointDir is set),
-	// additionally snapshots running jobs to the directory on this
-	// period, so a crash — not just a graceful drain — loses at most
-	// one interval of simulation work (cmd/dvsd -checkpoint-interval).
+	// additionally writes running jobs' documents to the directory on
+	// this period, so a crash — not just a graceful drain — loses at
+	// most one interval of outcomes plus the runs then in flight
+	// (cmd/dvsd -checkpoint-interval).
 	CheckpointInterval time.Duration
 
 	// Tracer, when non-nil, records handler / simulation / engine
@@ -140,7 +141,7 @@ func New(cfg Config) *Server {
 	// Jobs keep at most 2× the worker count of runs outstanding, so one
 	// huge job cannot monopolize the queue against concurrent jobs and
 	// single-run requests.
-	s.jobs = newJobStore("j", func() int { return 2 * s.pool.workers }, s.pool.DoRun,
+	s.jobs = NewJobStore("j", func() int { return 2 * s.pool.workers }, s.pool.DoJob,
 		s.met.jobsCreated, s.met.jobsFinished, s.met.sseLagged)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.front = &Front{
@@ -243,11 +244,12 @@ func (s *Server) Workers() int { return s.workers }
 // Shutdown drains the daemon: new work is rejected immediately, and
 // running jobs and queued runs get until ctx's deadline to finish.
 // What remains afterwards depends on CheckpointDir: with one set, the
-// stragglers are checkpointed mid-simulation and their documents land
-// in the directory for the next process to recover; without, they are
-// cancelled. The caller is responsible for closing the HTTP listener
-// first (http.Server's own Shutdown), so no new requests arrive
-// mid-drain.
+// stragglers are checkpointed (their in-flight runs stop and are
+// discarded) and their documents land in the directory for the next
+// process to recover, which re-runs what has no outcome; without,
+// they are cancelled. The caller is responsible for closing the HTTP
+// listener first (http.Server's own Shutdown), so no new requests
+// arrive mid-drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.jobs.WaitIdle(ctx)
@@ -256,8 +258,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if s.cfg.CheckpointDir != "" {
-			// Checkpoint before baseStop: cancelling the job contexts
-			// first would abandon the very runs being snapshotted.
+			// Checkpoint before baseStop: a job whose context is
+			// cancelled first ends cancelled and leaves no document.
 			for _, doc := range s.jobs.CheckpointAll(hard) {
 				if werr := writeCheckpointFile(s.cfg.CheckpointDir, doc); werr != nil {
 					s.log.Warn("drain checkpoint failed", "job", doc.JobID, "err", werr)
@@ -265,7 +267,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				}
 				s.met.checkpoints.Inc()
 				s.log.Info("drain checkpoint written",
-					"job", doc.JobID, "snapshots", len(doc.Snapshots), "outcomes", len(doc.Outcomes))
+					"job", doc.JobID, "runs", len(doc.Runs), "outcomes", len(doc.Outcomes))
 			}
 		}
 		s.jobs.CancelAll(hard)
@@ -432,18 +434,26 @@ func writeBodyError(w http.ResponseWriter, what string, err error) {
 // into v, answering the request itself (413 or 400) when it cannot.
 func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(body, v); err != nil {
 		writeBodyError(w, "invalid request body", err)
-		return false
-	}
-	if dec.More() {
-		WriteError(w, http.StatusBadRequest, "invalid request body: trailing data")
 		return false
 	}
 	io.Copy(io.Discard, body)
 	return true
+}
+
+// decodeStrict decodes one JSON value from r into v, failing on
+// unknown fields and on trailing data.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data")
+	}
+	return nil
 }
 
 // DrainRetryAfter is the Retry-After hint (seconds) on draining 503s:

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -93,9 +91,7 @@ func Run(cfg Config) (Result, error) {
 
 // Engine is the mutable simulation state. Construct with NewEngine;
 // either drive the whole run with Run, or step event by event with
-// Step/Finish. Every Step boundary is a valid checkpoint instant: the
-// run is deterministic in its Config, so Steps and Digest identify
-// the state there completely (see internal/snapshot).
+// Step/Finish.
 type Engine struct {
 	cfg     Config
 	horizon float64
@@ -104,9 +100,8 @@ type Engine struct {
 	// changes during a run).
 	repacer Repacer
 
-	began bool   // Policy.Reset and the initial releases happened
-	ended bool   // the event loop reached its natural end
-	steps uint64 // Step calls that advanced the run
+	began bool // Policy.Reset and the initial releases happened
+	ended bool // the event loop reached its natural end
 
 	t          float64
 	active     jobHeap
@@ -369,14 +364,12 @@ func (e *Engine) Run() (Result, error) {
 // one scheduling decision plus the busy or idle interval to the next
 // event — and reports whether the run can continue. It returns false
 // once the run has ended, either naturally or on an error (see
-// Finish). The instants between Step calls are the engine's
-// checkpoint boundaries: Steps and Digest describe the run exactly
-// there.
+// Finish). A caller abandons a run by dropping the engine, with its
+// policy and observers, at any boundary.
 func (e *Engine) Step() bool {
 	if e.err != nil || e.ended {
 		return false
 	}
-	e.steps++
 	if !e.began {
 		e.began = true
 		e.cfg.Policy.Reset(e)
@@ -450,8 +443,7 @@ func (e *Engine) Step() bool {
 
 // Finish finalizes the aggregate Result once Step has reported false
 // and returns it together with the run's error, if any. Calling it
-// earlier returns the partial result accumulated so far (the
-// checkpoint path never does; it records Steps and Digest instead).
+// earlier returns the partial result accumulated so far.
 func (e *Engine) Finish() (Result, error) {
 	e.res.Time = math.Max(e.t, e.horizon)
 	e.res.Energy = e.res.BusyEnergy + e.res.IdleEnergy + e.res.SwitchEnergy
@@ -459,44 +451,6 @@ func (e *Engine) Finish() (Result, error) {
 		e.res.PolicyCounters = inst.Counters()
 	}
 	return e.res, e.err
-}
-
-// Steps returns how many Step calls have advanced the run, counting
-// the call that ended it. The engine, the workload and every policy
-// are deterministic in the Config, so a fresh engine for the same
-// Config stepped this many times reaches this exact state.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Digest fingerprints the engine's observables at the current Step
-// boundary: the clock and speed, the energy and time accounting,
-// every counter, the ready-queue size, and whether the run has ended
-// or failed. A replay compares digests to prove that re-executing a
-// prefix reached the state that was captured.
-func (e *Engine) Digest() [sha256.Size]byte {
-	r := &e.res
-	var buf [17*8 + 2]byte
-	b := buf[:0]
-	for _, f := range [...]float64{
-		e.t, e.curSpeed, r.BusyEnergy, r.IdleEnergy, r.SwitchEnergy,
-		r.IdleTime, r.SleepTime, r.WorkDone, r.SpeedTimeIntegral,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	for _, n := range [...]int{
-		r.JobsReleased, r.JobsCompleted, r.DeadlineMisses, r.SpeedSwitches,
-		r.Preemptions, r.Decisions, r.Sleeps, len(e.active.jobs),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	}
-	b = append(b, flag(e.ended), flag(e.err != nil))
-	return sha256.Sum256(b)
-}
-
-func flag(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // releaseDue materializes every job whose (jittered) release time has

@@ -115,10 +115,10 @@ type Instrumented interface {
 
 // DecisionPath classifies how a policy arrived at a speed decision —
 // which analysis path produced the number. The taxonomy mirrors the
-// lpSHE incremental analyzer (PR 8): a decision is either served from
-// the slack staircase without running the analysis at all, stopped
-// early by the demand-grid certificate, degraded by the adaptive
-// horizon cap, or computed by a full scan.
+// lpSHE incremental analyzer: a decision is either served from the
+// slack staircase without running the analysis at all, stopped early
+// by the demand-grid certificate, degraded by the scan budget, or
+// computed by a full scan.
 type DecisionPath uint8
 
 const (
@@ -135,8 +135,10 @@ const (
 	// PathStaircase: the analysis was skipped entirely — the slack
 	// staircase lower bound already cleared the pacing floor.
 	PathStaircase
-	// PathAdaptiveCap: the scan was truncated by the adaptive horizon
-	// (or scan budget) and the reading conservatively degraded.
+	// PathAdaptiveCap: the scan hit its budget (the N of
+	// lpshe-horizonN, e.g. lpshe-horizon8/32) and the reading was
+	// conservatively degraded. The name and its "adaptive_cap" string
+	// are kept for flight records, span names and dvsscen -explain.
 	PathAdaptiveCap
 )
 

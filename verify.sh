@@ -1,6 +1,7 @@
 #!/bin/sh
-# verify.sh — the repo's tier-1 gate: static checks, the full test
-# suite under the race detector, the full experiment run compared byte
+# verify.sh — the repo's tier-1 gate: static checks, the perfbench
+# module's vet and smoke test, the full test suite under the race
+# detector, the full experiment run compared byte
 # for byte with docs/results-full.txt, an end-to-end smoke test of the
 # dvsd daemon (start, run one lpSHE simulation over HTTP, assert zero
 # deadline misses, scrape /metrics.prom and check the exposition is
@@ -8,8 +9,9 @@
 # deterministic fault injection, hammered through the self-healing
 # client with zero surfaced errors, clean drain), a checkpoint smoke
 # (a long job SIGTERMed mid-simulation with -checkpoint-dir set must
-# drain cleanly to a durable document, and a restarted daemon must
-# resume it to energies byte-identical to an uninterrupted run), a
+# drain cleanly to a durable version 2 document of runs and outcomes,
+# and a restarted daemon must re-run the unfinished runs to energies
+# byte-identical to an uninterrupted run), a
 # fleet smoke
 # (3-worker embedded dvsfleet: hammer through the router, dvsexp grid
 # byte-identical to the single-process run before AND after killing a
@@ -43,8 +45,12 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 # perfbench is a separate module that root `go build ./...` skips;
-# vetting it catches exported-API changes that break the benchmark.
+# vetting it catches exported-API changes that break the benchmark,
+# and its smoke test runs every workload's set-up and a short window
+# of each, traced and untraced, against the packages as changed.
 (cd perfbench && go vet .)
+echo "==> perfbench go test ."
+(cd perfbench && go test .)
 
 echo "==> go build ./..."
 go build ./...
@@ -307,6 +313,17 @@ ls "$CKPT_DIR"/*.ckpt.json >/dev/null 2>&1 || {
     ls -la "$CKPT_DIR" >&2 || true
     exit 1
 }
+# The document records runs and outcomes only: version 2, no
+# mid-run snapshots.
+grep -q '"version": 2,' "$CKPT_DIR"/*.ckpt.json || {
+    echo "FAIL: drained checkpoint document is not version 2" >&2
+    cat "$CKPT_DIR"/*.ckpt.json >&2
+    exit 1
+}
+if grep -q '"snapshots"' "$CKPT_DIR"/*.ckpt.json; then
+    echo "FAIL: drained checkpoint document carries a snapshots map" >&2
+    exit 1
+fi
 
 : >"$DVSD_LOG"
 "$DVSD_BIN" -addr 127.0.0.1:0 -checkpoint-dir "$CKPT_DIR" >"$DVSD_LOG" 2>&1 &
@@ -377,7 +394,7 @@ cmp -s "$SCEN_TMP/resumed.energies" "$SCEN_TMP/reference.energies" || {
     exit 1
 }
 [ -s "$SCEN_TMP/resumed.energies" ] || { echo "FAIL: no energies extracted from resumed job" >&2; exit 1; }
-echo "    checkpoint smoke test OK (drain checkpointed to disk, restart resumed, energies byte-identical)"
+echo "    checkpoint smoke test OK (drain wrote a version 2 document to disk, restart re-ran the rest, energies byte-identical)"
 
 echo "==> fleet smoke test (dvsfleet -embedded, 3 workers)"
 FLEET_TMP=$(mktemp -d -t dvsfleet.XXXXXX)
