@@ -58,11 +58,21 @@ func NewRing(replicas int) *Ring {
 
 // hash64 is the ring's hash function: FNV-1a, stable across processes
 // and Go releases (unlike maphash), so key→worker assignment survives
-// coordinator restarts.
+// coordinator restarts. FNV-1a alone barely moves the high bits when
+// only a string's last bytes differ, which is all that separates a
+// worker's virtual-node labels ("addr#0" … "addr#159"): they bunch
+// into a few arcs and one worker can own the whole circle. The
+// murmur3 finalizer spreads every input bit over all 64.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // Add inserts a node (idempotent).

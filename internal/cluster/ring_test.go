@@ -167,3 +167,28 @@ func TestRingEmptyAndIdempotent(t *testing.T) {
 		t.Fatal("ring not empty after Remove")
 	}
 }
+
+// TestRingBalanceLoopbackWorkers pins the ring's balance on the worker
+// names a fleet really has: loopback addresses whose virtual-node
+// labels differ only in their last few bytes. Over a sweep of
+// three-worker port sets, every worker owns a fair share of the keys,
+// so a grid's runs spread over the whole fleet.
+func TestRingBalanceLoopbackWorkers(t *testing.T) {
+	keys := testKeys(3000)
+	for base := 32768; base < 60000; base += 997 {
+		r := NewRing(0)
+		for i := 0; i < 3; i++ {
+			r.Add(fmt.Sprintf("127.0.0.1:%d", base+13*i))
+		}
+		owned := map[string]int{}
+		for _, k := range keys {
+			n, _ := r.Lookup(k)
+			owned[n]++
+		}
+		for _, n := range r.Nodes() {
+			if share := float64(owned[n]) / float64(len(keys)); share < 0.2 || share > 0.5 {
+				t.Errorf("ports from %d: %s owns %.2f of the keys, want within [0.2, 0.5]", base, n, share)
+			}
+		}
+	}
+}
