@@ -271,9 +271,11 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 
 // CheckpointJob pauses a job and returns the portable checkpoint
 // document: its runs and the outcomes recorded so far (in-flight runs
-// stop and are discarded; a restore re-runs them). Not retried — a
-// replay against a job that settled meanwhile would still succeed,
-// but pausing is a state change the caller should see fail loudly.
+// stop and are discarded; a restore re-runs them). dvsd and a
+// dvsfleet coordinator both serve it, and the document restores on
+// either. Not retried — a replay against a job that settled meanwhile
+// would still succeed, but pausing is a state change the caller
+// should see fail loudly.
 func (c *Client) CheckpointJob(ctx context.Context, id string) (server.JobCheckpoint, error) {
 	var doc server.JobCheckpoint
 	err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/checkpoint", nil, &doc, false)
@@ -281,9 +283,10 @@ func (c *Client) CheckpointJob(ctx context.Context, id string) (server.JobCheckp
 }
 
 // RestoreJob resumes a checkpoint document as a fresh job on the
-// daemon (finished runs are skipped, every other run executes from
-// its request). Never retried: a replay would enqueue the job
-// twice.
+// daemon or coordinator it calls, whichever service produced the
+// document (finished runs are skipped, every other run executes from
+// its request; a coordinator fans them out across its fleet). Never
+// retried: a replay would enqueue the job twice.
 func (c *Client) RestoreJob(ctx context.Context, doc server.JobCheckpoint) (server.JobInfo, error) {
 	var info server.JobInfo
 	err := c.do(ctx, http.MethodPost, "/v1/jobs/restore", &doc, &info, false)

@@ -122,14 +122,8 @@ func main() {
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptInterval,
 	})
-	if *ckptDir != "" {
-		n, err := srv.RecoverCheckpoints()
-		if err != nil {
-			logger.Warn("dvsd: checkpoint recovery incomplete", "dir", *ckptDir, "err", err)
-		}
-		if n > 0 {
-			logger.Info("dvsd: recovered checkpointed jobs", "dir", *ckptDir, "jobs", n)
-		}
+	if _, err := srv.RecoverCheckpoints(); err != nil {
+		logger.Warn("dvsd: checkpoint recovery incomplete", "dir", *ckptDir, "err", err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -17,8 +17,8 @@
 //	dvshammer -addr <fleet> -n 200     # load through the router
 //
 // Endpoints: the full dvsd API (POST /v1/simulate, the /v1/jobs
-// family incl. SSE, /v1/policies, /metrics, /metrics.prom, /healthz,
-// /readyz) plus the cluster plane:
+// family incl. SSE, checkpoint and restore, /v1/policies, /metrics,
+// /metrics.prom, /healthz, /readyz) plus the cluster plane:
 //
 //	GET  /v1/cluster                       topology and worker health
 //	POST /v1/cluster/cordon?worker=addr    remove a worker from the ring
@@ -27,7 +27,9 @@
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, running fleet
 // jobs get -drain-timeout to finish, then embedded workers (if any)
-// drain in turn.
+// drain in turn. As on dvsd, -checkpoint-dir checkpoints the jobs still
+// running at the deadline for the next start to recover (see
+// docs/checkpoints.md); without it they are cancelled.
 package main
 
 import (
@@ -61,6 +63,8 @@ func main() {
 		workerCache = flag.Int("worker-cache", 4096, "per-embedded-worker result cache entries (0 disables)")
 		traceBuf    = flag.Int("trace-buffer", 0,
 			"record spans into rings of this many entries (coordinator and, with -embedded, each worker), served at /debug/trace (0 = off)")
+		ckptDir = flag.String("checkpoint-dir", "",
+			"directory for durable fleet-job checkpoints: drain checkpoints unfinished jobs here and the next start resumes them (empty = off)")
 		logCfg obs.LogConfig
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
@@ -72,7 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := cluster.Config{HealthInterval: *interval, Logger: logger}
+	cfg := cluster.Config{HealthInterval: *interval, Logger: logger, CheckpointDir: *ckptDir}
 	if *traceBuf > 0 {
 		cfg.Tracer = obs.NewTracer("dvsfleet", *traceBuf)
 	}
@@ -117,6 +121,10 @@ func main() {
 
 	coord := cluster.New(cfg)
 	coord.Start()
+	// After Start, so the resumed runs find a routable fleet.
+	if _, err := coord.RecoverCheckpoints(); err != nil {
+		logger.Warn("dvsfleet: checkpoint recovery incomplete", "dir", *ckptDir, "err", err)
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -150,15 +158,24 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("dvsfleet: http shutdown", "err", err)
 	}
-	failed := false
-	if err := coord.Shutdown(ctx); err != nil {
+	// A blown deadline with a checkpoint directory is a clean exit, as
+	// on dvsd. The workers are still finishing the runs the pause left
+	// them; like dvsd's pool then, they get a fresh bounded window,
+	// logged rather than failed on.
+	err = coord.Shutdown(ctx)
+	checkpointed := *ckptDir != "" && errors.Is(err, context.DeadlineExceeded)
+	failed := err != nil && !checkpointed
+	if checkpointed {
+		logger.Info("dvsfleet: unfinished jobs checkpointed", "dir", *ckptDir)
+		ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+	} else if failed {
 		logger.Error("dvsfleet: coordinator drain incomplete", "err", err)
-		failed = true
 	}
 	for _, w := range embeddedFleet {
 		if err := w.Drain(ctx); err != nil {
 			logger.Error("dvsfleet: worker drain incomplete", "worker", w.Addr(), "err", err)
-			failed = true
+			failed = failed || !checkpointed
 		}
 	}
 	if failed {

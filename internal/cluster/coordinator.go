@@ -44,6 +44,10 @@ type Config struct {
 	// single tree. Propagation of inbound traceparent headers happens
 	// regardless, so tracing stays inert to request bytes.
 	Tracer *obs.Tracer
+	// CheckpointDir makes fleet jobs durable as server.Config's makes
+	// dvsd's: Shutdown checkpoints stragglers into it, and
+	// RecoverCheckpoints resumes them (cmd/dvsfleet -checkpoint-dir).
+	CheckpointDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -74,7 +78,7 @@ var ErrNoWorkers = errors.New("cluster: no ready workers")
 // the dvsd wire protocol, routing scenarios onto workers by
 // consistent hash of the canonical scenario key
 // (server.ScenarioKey), with health-checked membership, failover,
-// cordon/drain semantics, and fleet-wide job fan-out.
+// cordon semantics, and fleet-wide job fan-out.
 type Coordinator struct {
 	cfg    Config
 	log    *slog.Logger
@@ -130,11 +134,14 @@ func New(cfg Config) *Coordinator {
 		// admission control bounds what any one worker takes.
 		Jobs: server.NewJobStore("fj", func() int { return 4 * c.workerCount() }, c.runJob,
 			c.met.jobsCreated, c.met.jobsFinished, nil),
-		Base:         context.Background(),
-		Draining:     &c.draining,
-		NotReady:     c.notReady,
-		MaxBodyBytes: cfg.MaxBodyBytes,
-		Count:        c.met.request,
+		Base:          context.Background(),
+		Draining:      &c.draining,
+		NotReady:      c.notReady,
+		MaxBodyBytes:  cfg.MaxBodyBytes,
+		Count:         c.met.request,
+		Checkpoints:   c.met.checkpoints,
+		Restores:      c.met.restores,
+		CheckpointDir: cfg.CheckpointDir,
 	}
 
 	mux := http.NewServeMux()
@@ -145,7 +152,6 @@ func New(cfg Config) *Coordinator {
 	mux.HandleFunc("GET /v1/cluster", edge.Instrument("cluster", c.handleCluster))
 	mux.HandleFunc("POST /v1/cluster/cordon", edge.Instrument("cluster.cordon", c.handleCordon))
 	mux.HandleFunc("POST /v1/cluster/uncordon", edge.Instrument("cluster.uncordon", c.handleUncordon))
-	mux.HandleFunc("POST /v1/cluster/drain", edge.Instrument("cluster.drain", c.handleDrain))
 	if cfg.Kill != nil {
 		mux.HandleFunc("POST /v1/cluster/kill", edge.Instrument("cluster.kill", c.handleKill))
 	}
@@ -173,30 +179,25 @@ func (c *Coordinator) Handler() http.Handler { return c.handler }
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.handler.ServeHTTP(w, r) }
 
-// Shutdown drains the coordinator: new work is rejected, running
-// fleet jobs get until ctx's deadline to finish, and the health
-// checker stops. Jobs still running at the deadline are cancelled, and
-// Shutdown waits (up to 5s more) for them to settle, so none is left
-// running behind it. The caller closes the HTTP listener first, and
-// drains the workers themselves afterwards (the coordinator does not
-// own worker processes — except in embedded mode, where cmd/dvsfleet
-// drains them).
+// Shutdown drains the fleet jobs through dvsd's own job drain
+// (server.Front.Drain), then stops the health checker. The caller
+// closes the HTTP listener first, and drains the workers afterwards
+// (the coordinator does not own worker processes — except in embedded
+// mode, where cmd/dvsfleet drains them).
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	err := c.front.Jobs.WaitIdle(ctx)
-	if err != nil {
-		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		c.front.Jobs.CancelAll(hard)
-	}
-	if c.started.Load() {
+	return c.front.Drain(ctx, func(context.Context) error {
 		c.healthStop()
-		<-c.healthDone
-	} else {
-		c.healthStop()
-	}
-	return err
+		if c.started.Load() {
+			<-c.healthDone
+		}
+		return nil
+	})
 }
+
+// RecoverCheckpoints resumes the fleet jobs an earlier coordinator
+// checkpointed into CheckpointDir. Call it after Start, so the resumed
+// runs find a routable fleet.
+func (c *Coordinator) RecoverCheckpoints() (int, error) { return c.front.RecoverCheckpoints() }
 
 // --- membership and health ---
 

@@ -3,10 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -157,14 +155,6 @@ func TestFleetFailoverMetric(t *testing.T) {
 // job, twelve fanned-out runs and one event stream.
 func TestFleetJobMatchesDaemonJob(t *testing.T) {
 	f := newTestFleet(t, 3, Config{})
-	d := server.New(server.Config{Workers: 2})
-	dhs := httptest.NewServer(d.Handler())
-	t.Cleanup(func() {
-		dhs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		d.Shutdown(ctx)
-	})
 
 	batch := server.BatchRequest{Name: "match"}
 	policies := []string{"lpshe", "cc", "la", "dra"}
@@ -187,23 +177,10 @@ func TestFleetJobMatchesDaemonJob(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("stream %s: %v", info.ID, err)
 		}
-		final, err := c.Job(ctx, info.ID, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ro := range final.Results {
-			if ro.Result != nil {
-				ro.Result.WallNanos, ro.Result.Cached = 0, false
-			}
-		}
-		results, err := json.Marshal(final.Results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, end
+		return finishedResults(t, c, info.ID, len(batch.Runs)), end
 	}
 	fleetResults, fleetEnd := run(f.c)
-	daemonResults, daemonEnd := run(client.New(dhs.URL))
+	daemonResults, daemonEnd := run(newTestDaemon(t))
 
 	if !bytes.Equal(fleetResults, daemonResults) {
 		t.Fatalf("fleet job results differ from dvsd's:\n--- dvsd ---\n%s\n--- fleet ---\n%s", daemonResults, fleetResults)

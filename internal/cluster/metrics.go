@@ -34,7 +34,8 @@ type fleetMetrics struct {
 	jobsFinished *obs.Counter
 	fanoutRuns   *obs.Counter // fleet-job runs fanned out to workers
 
-	migrations *obs.CounterVec // jobs live-migrated off a worker, by reason
+	checkpoints *obs.Counter    // fleet-job checkpoints taken (API or drain)
+	restores    *obs.CounterVec // fleet-job restores by outcome ("ok"/"error")
 }
 
 func newFleetMetrics(c *Coordinator) *fleetMetrics {
@@ -66,8 +67,8 @@ func newFleetMetrics(c *Coordinator) *fleetMetrics {
 	m.jobsFinished = r.Counter("dvsfleet_jobs_finished_total", "fleet jobs reaching a terminal state")
 	m.fanoutRuns = r.Counter("dvsfleet_fanout_runs_total", "fleet-job runs fanned out across workers")
 
-	m.migrations = r.CounterVec("dvsfleet_migrations_total",
-		"jobs live-migrated off a worker via checkpoint/restore, by reason", "reason")
+	m.checkpoints = r.Counter("dvsfleet_checkpoints_total", "fleet-job checkpoints taken (pause or drain)")
+	m.restores = r.CounterVec("dvsfleet_restores_total", "fleet-job restores by outcome", "outcome")
 	return m
 }
 
@@ -104,10 +105,6 @@ type FleetSnapshot struct {
 	JobsCreated  uint64 `json:"jobs_created"`
 	JobsFinished uint64 `json:"jobs_finished"`
 	FanoutRuns   uint64 `json:"fanout_runs"`
-
-	// Migrations counts jobs live-migrated off workers (summed across
-	// reasons; omitted while zero to keep the quiet snapshot shape).
-	Migrations uint64 `json:"migrations,omitempty"`
 }
 
 // snapshot captures a consistent view of the counters.
@@ -129,6 +126,5 @@ func (m *fleetMetrics) snapshot(c *Coordinator) FleetSnapshot {
 	m.errors.Each(func(label string, c *obs.Counter) { s.Errors[label] = uint64(c.Value()) })
 	m.routed.Each(func(_ string, c *obs.Counter) { s.Routed += uint64(c.Value()) })
 	m.failovers.Each(func(_ string, c *obs.Counter) { s.Failovers += uint64(c.Value()) })
-	m.migrations.Each(func(_ string, c *obs.Counter) { s.Migrations += uint64(c.Value()) })
 	return s
 }

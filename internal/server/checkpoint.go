@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,11 +24,11 @@ const JobCheckpointVersion = 2
 
 // JobCheckpoint is the portable record of a paused job: the full run
 // list and every outcome already recorded. It is self-contained —
-// restoring it on a different daemon (the fleet's live-migration
-// path) or a later process (crash recovery) finishes the job with the
-// results an uninterrupted run would have had, because each run is a
-// pure function of its request and the restore re-runs every run
-// without an outcome from that request.
+// restoring it on any dvsd or dvsfleet coordinator, or in a later
+// process (crash recovery), finishes the job with the results an
+// uninterrupted run would have had, because each run is a pure
+// function of its request and the restore re-runs every run without
+// an outcome from that request.
 type JobCheckpoint struct {
 	Version int    `json:"version"`
 	Name    string `json:"name,omitempty"`
@@ -132,14 +133,54 @@ func writeSynced(path string, data []byte) error {
 	return err
 }
 
-// RecoverCheckpoints restores every job document found in the
-// configured checkpoint directory (a previous process's drain or
-// auto-checkpoint output) and resumes them. Successfully consumed
-// files are removed; files that fail validation are left in place for
-// inspection and reported through the first returned error. Call it
-// once, after New and before serving traffic.
-func (s *Server) RecoverCheckpoints() (int, error) {
-	dir := s.cfg.CheckpointDir
+// Drain is the job half of a service's shutdown, one code path for
+// dvsd and the dvsfleet coordinator: new work is refused at once, and
+// running jobs get until ctx's deadline to finish. Stragglers are then
+// settled within 5s more: with CheckpointDir set they are checkpointed
+// into it (their in-flight runs stop and are discarded; the next
+// process's RecoverCheckpoints re-runs what has no outcome), otherwise
+// cancelled. settle stops the owner's executor within whichever window
+// is left, and the documents of jobs that reached a terminal state are
+// pruned. The caller closes the HTTP listener first, so no new
+// requests arrive mid-drain.
+func (f *Front) Drain(ctx context.Context, settle func(context.Context) error) error {
+	f.Draining.Store(true)
+	err := f.Jobs.WaitIdle(ctx)
+	if err != nil {
+		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if f.CheckpointDir != "" {
+			// Checkpoint before cancelling: a cancelled job ends
+			// cancelled and leaves no document.
+			for _, doc := range f.Jobs.CheckpointAll(hard) {
+				if werr := writeCheckpointFile(f.CheckpointDir, doc); werr != nil {
+					f.Edge.Log.Warn("drain checkpoint failed", "job", doc.JobID, "err", werr)
+					continue
+				}
+				f.Checkpoints.Inc()
+				f.Edge.Log.Info("drain checkpoint written",
+					"job", doc.JobID, "runs", len(doc.Runs), "outcomes", len(doc.Outcomes))
+			}
+		}
+		f.Jobs.CancelAll(hard)
+		ctx = hard
+	}
+	if serr := settle(ctx); err == nil {
+		err = serr
+	}
+	f.pruneCheckpointFiles()
+	return err
+}
+
+// RecoverCheckpoints restores every job document found in
+// CheckpointDir (a previous process's drain or auto-checkpoint output)
+// and resumes them. Successfully consumed files are removed; files
+// that fail to decode or validate are left in place for inspection,
+// counted as failed restores, and reported through the first returned
+// error. Call it once, after the service is built and before it
+// serves traffic.
+func (f *Front) RecoverCheckpoints() (int, error) {
+	dir := f.CheckpointDir
 	if dir == "" {
 		return 0, nil
 	}
@@ -158,20 +199,20 @@ func (s *Server) RecoverCheckpoints() (int, error) {
 		}
 		var j *job
 		if err == nil {
-			j, err = s.jobs.Restore(s.baseCtx, &doc)
+			j, err = f.Jobs.Restore(f.Base, &doc)
 		}
 		if err != nil {
-			s.met.restores.With("error").Inc()
+			f.Restores.With("error").Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", filepath.Base(path), err)
 			}
-			s.log.Warn("checkpoint recovery failed", "file", filepath.Base(path), "err", err)
+			f.Edge.Log.Warn("checkpoint recovery failed", "file", filepath.Base(path), "err", err)
 			continue
 		}
-		s.met.restores.With("ok").Inc()
+		f.Restores.With("ok").Inc()
 		os.Remove(path)
 		recovered++
-		s.log.Info("checkpoint recovered",
+		f.Edge.Log.Info("checkpoint recovered",
 			"file", filepath.Base(path), "job", j.id, "total", len(doc.Runs), "done", len(doc.Outcomes))
 	}
 	return recovered, firstErr
@@ -180,17 +221,17 @@ func (s *Server) RecoverCheckpoints() (int, error) {
 // pruneCheckpointFiles removes on-disk documents of jobs that reached
 // a genuinely terminal state — a stale file would re-run finished (or
 // deliberately cancelled) work on the next recovery.
-func (s *Server) pruneCheckpointFiles() {
-	if s.cfg.CheckpointDir == "" {
+func (f *Front) pruneCheckpointFiles() {
+	if f.CheckpointDir == "" {
 		return
 	}
-	for _, j := range s.jobs.all() {
+	for _, j := range f.Jobs.all() {
 		j.mu.Lock()
 		st := j.state
 		j.mu.Unlock()
 		switch st {
 		case JobDone, JobFailed, JobCancelled:
-			os.Remove(checkpointFileName(s.cfg.CheckpointDir, j.id))
+			os.Remove(checkpointFileName(f.CheckpointDir, j.id))
 		}
 	}
 }
@@ -198,7 +239,7 @@ func (s *Server) pruneCheckpointFiles() {
 // autoCheckpointLoop periodically writes running jobs' documents to
 // the checkpoint directory, bounding what a crash (as opposed to a
 // graceful drain) can lose to one interval's outcomes. Ticks are
-// skipped while draining — Shutdown's own checkpoint pass owns that
+// skipped while draining — Drain's own checkpoint pass owns that
 // window.
 func (s *Server) autoCheckpointLoop() {
 	t := time.NewTicker(s.cfg.CheckpointInterval)
@@ -238,14 +279,14 @@ func (s *Server) autoCheckpointOnce() {
 
 // --- handlers ---
 
-// handleCheckpointJob answers POST /v1/jobs/{id}/checkpoint: pause the
-// job, stopping its in-flight runs at their next step boundary, and
-// return the checkpoint document. Deliberately not gated on draining —
-// checkpointing is how work leaves a draining daemon.
-func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
+// checkpointJob answers POST /v1/jobs/{id}/checkpoint: pause the job,
+// stopping its in-flight runs at their next step boundary, and return
+// the checkpoint document. Deliberately not gated on draining —
+// checkpointing is how work leaves a draining service.
+func (f *Front) checkpointJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	start := time.Now()
-	doc, err := s.jobs.Checkpoint(r.Context(), id)
+	doc, err := f.Jobs.Checkpoint(r.Context(), id)
 	switch {
 	case errors.Is(err, errNoSuchJob):
 		WriteError(w, http.StatusNotFound, "server: no such job %q", id)
@@ -257,10 +298,10 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "server: checkpoint did not settle: %v", err)
 		return
 	}
-	s.met.checkpoints.Inc()
-	if s.tracer != nil {
+	f.Checkpoints.Inc()
+	if tr := f.Edge.Tracer; tr != nil {
 		if sc, ok := obs.SpanContextFromContext(r.Context()); ok {
-			s.tracer.Emit(sc, "dvsd.checkpoint", start, time.Since(start), map[string]string{
+			tr.Emit(sc, f.Edge.Service+".checkpoint", start, time.Since(start), map[string]string{
 				"job":      id,
 				"outcomes": strconv.Itoa(len(doc.Outcomes)),
 			})
@@ -269,23 +310,26 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, doc)
 }
 
-// handleRestoreJob answers POST /v1/jobs/restore: validate a
-// checkpoint document and resume it as a fresh job. Restores reject
-// while draining (they are new work).
-func (s *Server) handleRestoreJob(w http.ResponseWriter, r *http.Request) {
-	if s.front.RejectIfDraining(w) {
+// restoreJob answers POST /v1/jobs/restore: decode and validate a
+// checkpoint document and resume it as a fresh job. Every rejected
+// document counts as a failed restore, whether the strict decode or
+// the validation refused it. Restores reject while draining (they are
+// new work).
+func (f *Front) restoreJob(w http.ResponseWriter, r *http.Request) {
+	if f.RejectIfDraining(w) {
 		return
 	}
 	var doc JobCheckpoint
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &doc) {
+	if !DecodeBody(w, r, f.MaxBodyBytes, &doc) {
+		f.Restores.With("error").Inc()
 		return
 	}
-	j, err := s.jobs.Restore(s.baseCtx, &doc)
+	j, err := f.Jobs.Restore(f.Base, &doc)
 	if err != nil {
-		s.met.restores.With("error").Inc()
+		f.Restores.With("error").Inc()
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.restores.With("ok").Inc()
+	f.Restores.With("ok").Inc()
 	WriteJSON(w, http.StatusAccepted, j.info(false))
 }

@@ -14,11 +14,13 @@ import (
 
 // Front is the part of the HTTP API that dvsd and the dvsfleet
 // coordinator serve from one code path, so a client cannot tell the
-// two apart: the per-request Edge, the five batch-job endpoints over
-// the service's JobStore, /healthz, /v1/policies, the draining answer
-// of /readyz, and the 503 every work-accepting endpoint gives once the
-// service drains. Each service fills one in and mounts it beside its
-// own routes.
+// two apart: the per-request Edge, the seven batch-job endpoints over
+// the service's JobStore (checkpoint and restore included),
+// /healthz, /v1/policies, the draining answer of /readyz, and the 503
+// every work-accepting endpoint gives once the service drains. It
+// also owns the jobs' durability: Drain, RecoverCheckpoints and the
+// pruning of checkpoint files. Each service fills one in and mounts it
+// beside its own routes.
 type Front struct {
 	Edge Edge
 	Jobs *JobStore
@@ -40,6 +42,14 @@ type Front struct {
 	// Dropped, when non-nil, counts SSE consumers dropped for a
 	// failed or overdue write.
 	Dropped *obs.Counter
+	// Checkpoints counts checkpoint documents produced; Restores counts
+	// restore attempts by outcome ("ok" or "error"). Both are required.
+	Checkpoints *obs.Counter
+	Restores    *obs.CounterVec
+	// CheckpointDir, when non-empty, makes jobs durable: Drain
+	// checkpoints stragglers into it instead of cancelling them, and
+	// RecoverCheckpoints resumes them in the next process.
+	CheckpointDir string
 }
 
 // Mount registers the shared routes on mux.
@@ -49,6 +59,8 @@ func (f *Front) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/jobs/{id}", f.Edge.Instrument("jobs.get", f.getJob))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", f.Edge.Instrument("jobs.cancel", f.cancelJob))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", f.jobEvents) // SSE, self-instrumented
+	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", f.Edge.Instrument("jobs.checkpoint", f.checkpointJob))
+	mux.HandleFunc("POST /v1/jobs/restore", f.Edge.Instrument("jobs.restore", f.restoreJob))
 	mux.HandleFunc("GET /v1/policies", f.Edge.Instrument("policies", handlePolicies))
 	mux.HandleFunc("GET /healthz", f.healthz)
 	mux.HandleFunc("GET /readyz", f.readyz)

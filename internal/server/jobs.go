@@ -181,6 +181,24 @@ func (j *job) finish(state string) {
 	close(j.finished)
 }
 
+// settled waits until the job is terminal or ctx is done, and reports
+// whether it is terminal. A job that already is counts as settled even
+// under an expired ctx: a select over both ready channels would pick
+// one at random.
+func (j *job) settled(ctx context.Context) bool {
+	select {
+	case <-j.finished:
+		return true
+	default:
+	}
+	select {
+	case <-j.finished:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // checkpointDoc assembles the job's portable checkpoint document: its
 // runs and the outcomes recorded so far. A restore re-runs every run
 // without an outcome from its request.
@@ -381,9 +399,7 @@ func (s *JobStore) Checkpoint(ctx context.Context, id string) (*JobCheckpoint, e
 		return nil, errNoSuchJob
 	}
 	j.pause()
-	select {
-	case <-j.finished:
-	case <-ctx.Done():
+	if !j.settled(ctx) {
 		return nil, ctx.Err()
 	}
 	return j.checkpointDoc(), nil
@@ -409,9 +425,7 @@ func (s *JobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
 	}
 	var docs []*JobCheckpoint
 	for _, j := range pending {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
+		if !j.settled(ctx) {
 			continue
 		}
 		j.mu.Lock()
@@ -429,9 +443,7 @@ func (s *JobStore) CheckpointAll(ctx context.Context) []*JobCheckpoint {
 // already be rejecting new jobs).
 func (s *JobStore) WaitIdle(ctx context.Context) error {
 	for _, j := range s.all() {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
+		if !j.settled(ctx) {
 			return ctx.Err()
 		}
 	}
@@ -446,9 +458,7 @@ func (s *JobStore) CancelAll(ctx context.Context) {
 		j.cancel()
 	}
 	for _, j := range jobs {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
+		if !j.settled(ctx) {
 			return
 		}
 	}

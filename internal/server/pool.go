@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dvsslack/internal/obs"
@@ -67,6 +68,7 @@ type pool struct {
 	mu        sync.Mutex
 	closed    bool
 	producers sync.WaitGroup // callers inside a queue send
+	pending   atomic.Int64   // items submitted and not yet answered
 	workers   int
 	depth     int // queue capacity
 	workerWG  sync.WaitGroup
@@ -102,7 +104,9 @@ func (p *pool) worker() {
 	for w := range p.queue {
 		p.met.enqueue(-1)
 		p.met.running(1)
-		w.done <- p.execute(w)
+		out := p.execute(w)
+		p.pending.Add(-1) // before the caller can see the outcome and drain
+		w.done <- out
 		p.met.running(-1)
 	}
 }
@@ -260,6 +264,7 @@ func (p *pool) submit(ctx context.Context, req *SimRequest, stop <-chan struct{}
 		return SimResult{}, ErrDraining
 	}
 	p.producers.Add(1)
+	p.pending.Add(1)
 	p.mu.Unlock()
 
 	enqueued := false
@@ -271,6 +276,7 @@ func (p *pool) submit(ctx context.Context, req *SimRequest, stop <-chan struct{}
 	}
 	p.producers.Done()
 	if !enqueued {
+		p.pending.Add(-1)
 		return SimResult{}, ctx.Err()
 	}
 
@@ -283,7 +289,9 @@ func (p *pool) submit(ctx context.Context, req *SimRequest, stop <-chan struct{}
 }
 
 // Drain stops accepting work and waits for queued and in-flight runs
-// to finish, up to ctx's deadline. Safe to call more than once.
+// to finish, up to ctx's deadline. A pool with nothing queued or in
+// flight drains even under an expired ctx. Safe to call more than
+// once.
 func (p *pool) Drain(ctx context.Context) error {
 	p.mu.Lock()
 	p.closed = true
@@ -304,6 +312,12 @@ func (p *pool) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		return ctx.Err()
 	}
+	if p.pending.Load() == 0 {
+		// Closed and idle: no item can arrive, and the idle workers
+		// are already on their way out.
+		<-done
+		return nil
+	}
+	return ctx.Err()
 }

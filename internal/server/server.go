@@ -166,6 +166,9 @@ func New(cfg Config) *Server {
 		SSEWriteTimeout: cfg.SSEWriteTimeout,
 		Count:           s.met.request,
 		Dropped:         s.met.sseDropped,
+		Checkpoints:     s.met.checkpoints,
+		Restores:        s.met.restores,
+		CheckpointDir:   cfg.CheckpointDir,
 	}
 
 	mux := http.NewServeMux()
@@ -173,8 +176,6 @@ func New(cfg Config) *Server {
 	s.front.Mount(mux)
 	mux.HandleFunc("POST /v1/simulate", edge.Instrument("simulate", s.handleSimulate))
 	mux.HandleFunc("POST /v1/scenario", edge.Instrument("scenario", s.handleScenario))
-	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", edge.Instrument("jobs.checkpoint", s.handleCheckpointJob))
-	mux.HandleFunc("POST /v1/jobs/restore", edge.Instrument("jobs.restore", s.handleRestoreJob))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /debug/trace", s.handleTraceDump)
@@ -241,46 +242,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // Workers returns the worker-pool size.
 func (s *Server) Workers() int { return s.workers }
 
-// Shutdown drains the daemon: new work is rejected immediately, and
-// running jobs and queued runs get until ctx's deadline to finish.
-// What remains afterwards depends on CheckpointDir: with one set, the
-// stragglers are checkpointed (their in-flight runs stop and are
-// discarded) and their documents land in the directory for the next
-// process to recover, which re-runs what has no outcome; without,
-// they are cancelled. The caller is responsible for closing the HTTP
-// listener first (http.Server's own Shutdown), so no new requests
-// arrive mid-drain.
+// Shutdown drains the daemon's jobs (Front.Drain), then its worker
+// pool. The caller closes the HTTP listener first (http.Server's own
+// Shutdown), so no new requests arrive mid-drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	err := s.jobs.WaitIdle(ctx)
-	if err != nil {
-		// Deadline hit: settle the stragglers quickly but cleanly.
-		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if s.cfg.CheckpointDir != "" {
-			// Checkpoint before baseStop: a job whose context is
-			// cancelled first ends cancelled and leaves no document.
-			for _, doc := range s.jobs.CheckpointAll(hard) {
-				if werr := writeCheckpointFile(s.cfg.CheckpointDir, doc); werr != nil {
-					s.log.Warn("drain checkpoint failed", "job", doc.JobID, "err", werr)
-					continue
-				}
-				s.met.checkpoints.Inc()
-				s.log.Info("drain checkpoint written",
-					"job", doc.JobID, "runs", len(doc.Runs), "outcomes", len(doc.Outcomes))
-			}
-		}
-		s.jobs.CancelAll(hard)
+	return s.front.Drain(ctx, func(ctx context.Context) error {
 		s.baseStop()
-		s.pool.Drain(hard)
-		s.pruneCheckpointFiles()
-		return err
-	}
-	s.baseStop()
-	err = s.pool.Drain(ctx)
-	s.pruneCheckpointFiles()
-	return err
+		return s.pool.Drain(ctx)
+	})
 }
+
+// RecoverCheckpoints resumes the jobs checkpointed into CheckpointDir
+// by an earlier process (Front.RecoverCheckpoints).
+func (s *Server) RecoverCheckpoints() (int, error) { return s.front.RecoverCheckpoints() }
 
 // --- plumbing (shared with the dvsfleet coordinator) ---
 

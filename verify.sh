@@ -8,17 +8,16 @@
 # well-formed, drain cleanly), a chaos smoke (daemon under
 # deterministic fault injection, hammered through the self-healing
 # client with zero surfaced errors, clean drain), a checkpoint smoke
-# (a long job SIGTERMed mid-simulation with -checkpoint-dir set must
+# run by one body against dvsd and against an embedded dvsfleet (a
+# long job SIGTERMed mid-simulation with -checkpoint-dir set must
 # drain cleanly to a durable version 2 document of runs and outcomes,
-# and a restarted daemon must re-run the unfinished runs to energies
-# byte-identical to an uninterrupted run), a
+# and a restart over the same directory must re-run the unfinished
+# runs to energies byte-identical to an uninterrupted run), a
 # fleet smoke
 # (3-worker embedded dvsfleet: hammer through the router, dvsexp grid
 # byte-identical to the single-process run before AND after killing a
 # worker, a fleet job's results equal to the same batch on one worker,
-# failover observed in the metrics, clean drain), a fleet
-# drain-migration smoke (a job live-migrated off a worker via POST
-# /v1/cluster/drain finishes on a ring successor), a trace
+# failover observed in the metrics, clean drain), a trace
 # smoke (tracing-enabled fleet: one client trace ID observed in
 # coordinator and worker logs and in the federated /debug/trace dump,
 # verdict bytes identical to a tracing-disabled run, dvssim -trace
@@ -115,6 +114,7 @@ rm -f "$RESULTS"
 
 echo "==> dvsd smoke test"
 DVSD_BIN=$(mktemp -t dvsd.XXXXXX)
+FLEET_BIN=$(mktemp -t dvsfleet.XXXXXX)
 SCEN_BIN=$(mktemp -t dvsscen.XXXXXX)
 SCEN_TMP=$(mktemp -d -t dvsscen.XXXXXX)
 DVSD_LOG=$(mktemp -t dvsd.log.XXXXXX)
@@ -124,13 +124,14 @@ FLEET_TMP=""
 cleanup() {
     [ -n "$DVSD_PID" ] && kill "$DVSD_PID" 2>/dev/null || true
     [ -n "$FLEET_PID" ] && kill "$FLEET_PID" 2>/dev/null || true
-    rm -f "$DVSD_BIN" "$SCEN_BIN" "$DVSD_LOG"
+    rm -f "$DVSD_BIN" "$FLEET_BIN" "$SCEN_BIN" "$DVSD_LOG"
     rm -rf "$SCEN_TMP"
     [ -n "$FLEET_TMP" ] && rm -rf "$FLEET_TMP"
 }
 trap cleanup EXIT
 
 go build -o "$DVSD_BIN" ./cmd/dvsd
+go build -o "$FLEET_BIN" ./cmd/dvsfleet
 go build -o "$SCEN_BIN" ./cmd/dvsscen
 "$DVSD_BIN" -addr 127.0.0.1:0 >"$DVSD_LOG" 2>&1 &
 DVSD_PID=$!
@@ -268,13 +269,13 @@ DVSD_PID=""
 grep -q "drained, bye" "$DVSD_LOG" || { echo "FAIL: no clean drain after chaos" >&2; cat "$DVSD_LOG" >&2; exit 1; }
 echo "    chaos smoke test OK ($ADDR, 50 requests self-healed, clean drain)"
 
-echo "==> checkpoint smoke test (drain to disk, restart, resume)"
-# A long job is interrupted mid-simulation by SIGTERM with a drain
-# deadline it cannot meet; with -checkpoint-dir set the daemon must
-# still exit cleanly, leaving the job checkpointed on disk. A second
-# daemon over the same directory must recover and finish it, and the
-# final energies must equal an uninterrupted run on a fresh daemon.
-CKPT_DIR="$SCEN_TMP/ckpt"
+echo "==> checkpoint smoke tests (drain to disk, restart, resume: dvsd and dvsfleet)"
+# One body, run against dvsd and against an embedded dvsfleet: a long
+# job is interrupted mid-simulation by SIGTERM with a drain deadline it
+# cannot meet; with -checkpoint-dir set the service must still exit
+# cleanly, leaving the job checkpointed on disk. A restart over the
+# same directory must recover and finish it, and the final energies
+# must equal an uninterrupted run on a fresh dvsd.
 CKPT_JOB='{
   "name": "verify-ckpt",
   "runs": [
@@ -286,124 +287,117 @@ CKPT_JOB='{
      "workload": {"kind": "uniform", "lo": 0.5, "hi": 1, "seed": 2}}
   ]
 }'
-: >"$DVSD_LOG"
-"$DVSD_BIN" -addr 127.0.0.1:0 -checkpoint-dir "$CKPT_DIR" -drain-timeout 500ms >"$DVSD_LOG" 2>&1 &
-DVSD_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$DVSD_LOG" | head -n1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "FAIL: checkpoint dvsd did not start:" >&2; cat "$DVSD_LOG" >&2; exit 1; }
-STATUS=$(curl -s -o /dev/null -w '%{http_code}' --max-time 2 -d "$CKPT_JOB" "http://$ADDR/v1/jobs")
-[ "$STATUS" = "202" ] || { echo "FAIL: checkpoint job not accepted (HTTP $STATUS)" >&2; exit 1; }
-sleep 0.3
-kill -TERM "$DVSD_PID"
-wait "$DVSD_PID" || { echo "FAIL: checkpoint dvsd exited non-zero on SIGTERM" >&2; cat "$DVSD_LOG" >&2; exit 1; }
-DVSD_PID=""
-grep -q "drained, bye" "$DVSD_LOG" || { echo "FAIL: no clean drain with checkpoint dir" >&2; cat "$DVSD_LOG" >&2; exit 1; }
-grep -q "unfinished jobs checkpointed" "$DVSD_LOG" || {
-    echo "FAIL: drain did not report checkpointing (job finished too fast?)" >&2
-    cat "$DVSD_LOG" >&2
-    exit 1
+# start_service CMD...: start CMD on a free port, logging to $DVSD_LOG;
+# sets DVSD_PID and ADDR (the address CMD logs as "listening on").
+start_service() {
+    : >"$DVSD_LOG"
+    "$@" -addr 127.0.0.1:0 >"$DVSD_LOG" 2>&1 &
+    DVSD_PID=$!
+    ADDR=""
+    for _ in $(seq 1 50); do
+        ADDR=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$DVSD_LOG" | head -n1)
+        [ -n "$ADDR" ] && break
+        sleep 0.1
+    done
+    [ -n "$ADDR" ] || { echo "FAIL: $* did not start:" >&2; cat "$DVSD_LOG" >&2; exit 1; }
 }
-ls "$CKPT_DIR"/*.ckpt.json >/dev/null 2>&1 || {
-    echo "FAIL: no checkpoint document on disk after drain" >&2
-    ls -la "$CKPT_DIR" >&2 || true
-    exit 1
+# stop_service NAME: SIGTERM the service, which must exit 0 with a
+# clean drain message.
+stop_service() {
+    kill -TERM "$DVSD_PID"
+    wait "$DVSD_PID" || { echo "FAIL: $1 exited non-zero on SIGTERM" >&2; cat "$DVSD_LOG" >&2; exit 1; }
+    DVSD_PID=""
+    grep -q "drained, bye" "$DVSD_LOG" || { echo "FAIL: no clean drain from $1" >&2; cat "$DVSD_LOG" >&2; exit 1; }
 }
-# The document records runs and outcomes only: version 2, no
-# mid-run snapshots.
-grep -q '"version": 2,' "$CKPT_DIR"/*.ckpt.json || {
-    echo "FAIL: drained checkpoint document is not version 2" >&2
-    cat "$CKPT_DIR"/*.ckpt.json >&2
-    exit 1
+# job_energies ID: wait for job ID to finish done, then print its
+# runs' energies.
+job_energies() {
+    DONE=""
+    for _ in $(seq 1 150); do
+        if curl -s --max-time 2 "http://$ADDR/v1/jobs/$1" | grep -q '"state": "done"'; then
+            DONE=yes
+            break
+        fi
+        sleep 0.2
+    done
+    [ -n "$DONE" ] || {
+        echo "FAIL: job $1 did not finish:" >&2
+        curl -s --max-time 2 "http://$ADDR/v1/jobs" >&2 || true
+        cat "$DVSD_LOG" >&2
+        exit 1
+    }
+    curl -s --max-time 5 "http://$ADDR/v1/jobs/$1?results=1" | grep -o '"energy": [0-9.e+-]*'
 }
-if grep -q '"snapshots"' "$CKPT_DIR"/*.ckpt.json; then
-    echo "FAIL: drained checkpoint document carries a snapshots map" >&2
-    exit 1
-fi
-
-: >"$DVSD_LOG"
-"$DVSD_BIN" -addr 127.0.0.1:0 -checkpoint-dir "$CKPT_DIR" >"$DVSD_LOG" 2>&1 &
-DVSD_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$DVSD_LOG" | head -n1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "FAIL: recovery dvsd did not start:" >&2; cat "$DVSD_LOG" >&2; exit 1; }
-grep -q "recovered checkpointed jobs" "$DVSD_LOG" || {
-    echo "FAIL: restart did not recover the checkpoint" >&2
-    cat "$DVSD_LOG" >&2
-    exit 1
-}
-JOB_ID=""
-for _ in $(seq 1 150); do
-    JOBS=$(curl -s --max-time 2 "http://$ADDR/v1/jobs")
-    if echo "$JOBS" | grep -q '"state": "done"'; then
-        JOB_ID=$(echo "$JOBS" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' | head -n1)
-        break
-    fi
-    sleep 0.2
-done
-[ -n "$JOB_ID" ] || {
-    echo "FAIL: recovered job did not finish:" >&2
-    curl -s --max-time 2 "http://$ADDR/v1/jobs" >&2 || true
-    cat "$DVSD_LOG" >&2
-    exit 1
-}
-curl -s --max-time 5 "http://$ADDR/v1/jobs/$JOB_ID?results=1" |
-    grep -o '"energy": [0-9.e+-]*' >"$SCEN_TMP/resumed.energies"
-kill -TERM "$DVSD_PID"
-wait "$DVSD_PID" || { echo "FAIL: recovery dvsd exited non-zero on SIGTERM" >&2; exit 1; }
-DVSD_PID=""
 
 # Reference run on a fresh daemon (no checkpoint dir, cold cache).
-: >"$DVSD_LOG"
-"$DVSD_BIN" -addr 127.0.0.1:0 >"$DVSD_LOG" 2>&1 &
-DVSD_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$DVSD_LOG" | head -n1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "FAIL: reference dvsd did not start:" >&2; cat "$DVSD_LOG" >&2; exit 1; }
+start_service "$DVSD_BIN"
 REF_ID=$(curl -s --max-time 2 -d "$CKPT_JOB" "http://$ADDR/v1/jobs" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')
 [ -n "$REF_ID" ] || { echo "FAIL: reference job not accepted" >&2; exit 1; }
-DONE=""
-for _ in $(seq 1 150); do
-    if curl -s --max-time 2 "http://$ADDR/v1/jobs/$REF_ID" | grep -q '"state": "done"'; then
-        DONE=yes
-        break
+job_energies "$REF_ID" >"$SCEN_TMP/reference.energies"
+stop_service "reference dvsd"
+[ -s "$SCEN_TMP/reference.energies" ] || { echo "FAIL: no energies extracted from the reference job" >&2; exit 1; }
+
+# checkpoint_smoke NAME CMD...: drain the job to disk from the service
+# CMD starts, restart CMD over the same directory, and compare the
+# recovered job's energies with the reference run's.
+checkpoint_smoke() {
+    NAME=$1
+    shift
+    CKPT_DIR="$SCEN_TMP/ckpt-$NAME"
+    start_service "$@" -checkpoint-dir "$CKPT_DIR" -drain-timeout 500ms
+    STATUS=$(curl -s -o /dev/null -w '%{http_code}' --max-time 2 -d "$CKPT_JOB" "http://$ADDR/v1/jobs")
+    [ "$STATUS" = "202" ] || { echo "FAIL: $NAME checkpoint job not accepted (HTTP $STATUS)" >&2; exit 1; }
+    sleep 0.3
+    stop_service "$NAME with a checkpoint dir"
+    grep -q "unfinished jobs checkpointed" "$DVSD_LOG" || {
+        echo "FAIL: $NAME drain did not report checkpointing (job finished too fast?)" >&2
+        cat "$DVSD_LOG" >&2
+        exit 1
+    }
+    ls "$CKPT_DIR"/*.ckpt.json >/dev/null 2>&1 || {
+        echo "FAIL: no $NAME checkpoint document on disk after drain" >&2
+        ls -la "$CKPT_DIR" >&2 || true
+        exit 1
+    }
+    # The document records runs and outcomes only: version 2, no
+    # mid-run snapshots.
+    grep -q '"version": 2,' "$CKPT_DIR"/*.ckpt.json || {
+        echo "FAIL: $NAME drained checkpoint document is not version 2" >&2
+        cat "$CKPT_DIR"/*.ckpt.json >&2
+        exit 1
+    }
+    if grep -q '"snapshots"' "$CKPT_DIR"/*.ckpt.json; then
+        echo "FAIL: $NAME drained checkpoint document carries a snapshots map" >&2
+        exit 1
     fi
-    sleep 0.2
-done
-[ -n "$DONE" ] || { echo "FAIL: reference job did not finish" >&2; exit 1; }
-curl -s --max-time 5 "http://$ADDR/v1/jobs/$REF_ID?results=1" |
-    grep -o '"energy": [0-9.e+-]*' >"$SCEN_TMP/reference.energies"
-kill -TERM "$DVSD_PID"
-wait "$DVSD_PID" || { echo "FAIL: reference dvsd exited non-zero on SIGTERM" >&2; exit 1; }
-DVSD_PID=""
-cmp -s "$SCEN_TMP/resumed.energies" "$SCEN_TMP/reference.energies" || {
-    echo "FAIL: resumed job energies differ from uninterrupted run" >&2
-    diff "$SCEN_TMP/resumed.energies" "$SCEN_TMP/reference.energies" >&2 || true
-    exit 1
+
+    start_service "$@" -checkpoint-dir "$CKPT_DIR"
+    grep -q "checkpoint recovered" "$DVSD_LOG" || {
+        echo "FAIL: $NAME restart did not recover the checkpoint" >&2
+        cat "$DVSD_LOG" >&2
+        exit 1
+    }
+    JOB_ID=$(curl -s --max-time 2 "http://$ADDR/v1/jobs" | sed -n 's/.*"id": "\([a-z]*[0-9][0-9]*\)".*/\1/p' | head -n1)
+    [ -n "$JOB_ID" ] || { echo "FAIL: $NAME restart lists no recovered job" >&2; exit 1; }
+    job_energies "$JOB_ID" >"$SCEN_TMP/$NAME.energies"
+    stop_service "recovering $NAME"
+    cmp -s "$SCEN_TMP/$NAME.energies" "$SCEN_TMP/reference.energies" || {
+        echo "FAIL: $NAME resumed job energies differ from uninterrupted run" >&2
+        diff "$SCEN_TMP/$NAME.energies" "$SCEN_TMP/reference.energies" >&2 || true
+        exit 1
+    }
+    echo "    $NAME checkpoint smoke test OK (drain wrote a version 2 document to disk, restart re-ran the rest, energies byte-identical)"
 }
-[ -s "$SCEN_TMP/resumed.energies" ] || { echo "FAIL: no energies extracted from resumed job" >&2; exit 1; }
-echo "    checkpoint smoke test OK (drain wrote a version 2 document to disk, restart re-ran the rest, energies byte-identical)"
+checkpoint_smoke dvsd "$DVSD_BIN"
+checkpoint_smoke dvsfleet "$FLEET_BIN" -embedded -workers 2
 
 echo "==> fleet smoke test (dvsfleet -embedded, 3 workers)"
 FLEET_TMP=$(mktemp -d -t dvsfleet.XXXXXX)
 FLEET_LOG="$FLEET_TMP/fleet.log"
-go build -o "$FLEET_TMP/dvsfleet" ./cmd/dvsfleet
 go build -o "$FLEET_TMP/dvshammer" ./cmd/dvshammer
 go build -o "$FLEET_TMP/dvsexp" ./cmd/dvsexp
 
-"$FLEET_TMP/dvsfleet" -addr 127.0.0.1:0 -embedded -workers 3 >"$FLEET_LOG" 2>&1 &
+"$FLEET_BIN" -addr 127.0.0.1:0 -embedded -workers 3 >"$FLEET_LOG" 2>&1 &
 FLEET_PID=$!
 FADDR=""
 for _ in $(seq 1 50); do
@@ -557,7 +551,7 @@ echo "    fleet smoke test OK ($FADDR, hammer clean, t2 byte-identical incl. aft
 
 echo "==> trace smoke test (dvsfleet -trace-buffer, one trace across the fleet)"
 TRACE_LOG="$FLEET_TMP/trace.log"
-"$FLEET_TMP/dvsfleet" -addr 127.0.0.1:0 -embedded -workers 3 -trace-buffer 512 -log-format json >"$TRACE_LOG" 2>&1 &
+"$FLEET_BIN" -addr 127.0.0.1:0 -embedded -workers 3 -trace-buffer 512 -log-format json >"$TRACE_LOG" 2>&1 &
 FLEET_PID=$!
 TADDR=""
 for _ in $(seq 1 50); do
@@ -633,67 +627,6 @@ grep -q "explain lpshe.*staircase=" "$FLEET_TMP/explain.out" || {
     exit 1
 }
 echo "    trace smoke test OK ($TADDR, one trace across coordinator+worker, verdict bytes inert, flight export well-formed, -explain green)"
-
-echo "==> fleet drain-migration smoke test (live checkpoint/restore across workers)"
-# A job running on one worker is live-migrated off it by POST
-# /v1/cluster/drain: checkpointed mid-simulation, restored on a ring
-# successor, finished there — observable in the response, the
-# migrations counter, and the successor's job listing.
-DRAIN_LOG="$FLEET_TMP/drain.log"
-"$FLEET_TMP/dvsfleet" -addr 127.0.0.1:0 -embedded -workers 3 >"$DRAIN_LOG" 2>&1 &
-FLEET_PID=$!
-DADDR=""
-for _ in $(seq 1 50); do
-    DADDR=$(sed -n 's/.*dvsfleet: listening on \([0-9.:]*\).*/\1/p' "$DRAIN_LOG" | head -n1)
-    [ -n "$DADDR" ] && break
-    sleep 0.1
-done
-[ -n "$DADDR" ] || { echo "FAIL: drain-smoke dvsfleet did not start:" >&2; cat "$DRAIN_LOG" >&2; exit 1; }
-WORKERS=$(curl -s --max-time 2 "http://$DADDR/v1/cluster" | sed -n 's/.*"addr": "\([0-9.:]*\)".*/\1/p')
-W1=$(echo "$WORKERS" | head -n1)
-[ -n "$W1" ] || { echo "FAIL: drain smoke listed no workers" >&2; exit 1; }
-STATUS=$(curl -s -o /dev/null -w '%{http_code}' --max-time 2 -d "$CKPT_JOB" "http://$W1/v1/jobs")
-[ "$STATUS" = "202" ] || { echo "FAIL: worker $W1 rejected the job (HTTP $STATUS)" >&2; exit 1; }
-sleep 0.3
-DRAIN_RESP=$(curl -s --max-time 30 -X POST "http://$DADDR/v1/cluster/drain?worker=$W1")
-echo "$DRAIN_RESP" | grep -q '"migrated": *[1-9]' || {
-    echo "FAIL: drain migrated no jobs: $DRAIN_RESP" >&2
-    cat "$DRAIN_LOG" >&2
-    exit 1
-}
-curl -s --max-time 2 "http://$DADDR/metrics.prom" |
-    grep -q '^dvsfleet_migrations_total{reason="drain"} [1-9]' || {
-    echo "FAIL: migrations counter did not move:" >&2
-    curl -s --max-time 2 "http://$DADDR/metrics.prom" | grep '^dvsfleet_' >&2 || true
-    exit 1
-}
-MIGRATED=""
-for _ in $(seq 1 150); do
-    for W in $WORKERS; do
-        [ "$W" = "$W1" ] && continue
-        if curl -s --max-time 2 "http://$W/v1/jobs" | grep -q '"state": "done"'; then
-            MIGRATED=$W
-            break
-        fi
-    done
-    [ -n "$MIGRATED" ] && break
-    sleep 0.2
-done
-[ -n "$MIGRATED" ] || {
-    echo "FAIL: migrated job never finished on a successor worker" >&2
-    for W in $WORKERS; do curl -s --max-time 2 "http://$W/v1/jobs" >&2 || true; done
-    exit 1
-}
-# The source keeps the paused husk, checkpointed, not re-running.
-curl -s --max-time 2 "http://$W1/v1/jobs" | grep -q '"state": "checkpointed"' || {
-    echo "FAIL: source worker job not in checkpointed state:" >&2
-    curl -s --max-time 2 "http://$W1/v1/jobs" >&2 || true
-    exit 1
-}
-kill -TERM "$FLEET_PID"
-wait "$FLEET_PID" || { echo "FAIL: drain-smoke dvsfleet exited non-zero on SIGTERM" >&2; cat "$DRAIN_LOG" >&2; exit 1; }
-FLEET_PID=""
-echo "    fleet drain-migration smoke OK ($DADDR, job moved $W1 -> $MIGRATED, counter moved, source checkpointed)"
 
 echo "==> scenario pass (dvsscen validate + full corpus replay)"
 # Every committed document must validate (all errors would be listed)
