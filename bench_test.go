@@ -193,9 +193,7 @@ func BenchmarkPolicies(b *testing.B) {
 // BenchmarkAnalyzerSlack measures a single Analyzer.Slack call, the
 // slack reading lpSHE and feedback-EDF take at every decision that
 // misses the staircase, on a mid-size state (the per-scheduling-point
-// cost reported in T3). Slack skips the intensity clauses of the
-// early-stop certificate, so it can stop sooner than a full Analyze.
-// bench.sh records its ns/op and allocs/op in
+// cost reported in T3). bench.sh records its ns/op and allocs/op in
 // BENCH_<date>-<commit>.json; the allocs/op figure is pinned to zero
 // by the regression tests in internal/core.
 func BenchmarkAnalyzerSlack(b *testing.B) {

@@ -211,7 +211,12 @@ func TestFleetShutdownSettlesJobs(t *testing.T) {
 	var batch server.BatchRequest
 	for i := 0; i < 8; i++ {
 		r := testRequest("lpshe", uint64(300+i))
-		r.Horizon = 5e5 // long enough to outlive a 1 ms drain deadline
+		// About 4 ms of simulation on one core. The eight runs share
+		// the workers' four slots, so the job lasts at least two such
+		// waves and outlives a 1 ms drain deadline, while the workers'
+		// drain at cleanup, which finishes every dispatched run, stays
+		// short under the race detector.
+		r.Horizon = 2e4
 		batch.Runs = append(batch.Runs, r)
 	}
 	info, err := f.c.CreateJob(ctx, batch)

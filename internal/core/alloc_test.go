@@ -56,17 +56,17 @@ func newAllocSystem(t *testing.T, n int) *allocSystem {
 }
 
 // TestAnalyzeZeroSteadyStateAllocs: after the scratch buffers have
-// seen one call, Analyze allocates nothing per invocation.
+// seen one call, Slack allocates nothing per invocation.
 func TestAnalyzeZeroSteadyStateAllocs(t *testing.T) {
 	sys := newAllocSystem(t, 16)
 	an := NewAnalyzer(sys.ts)
 	nextRel := sys.NextReleaseOf
-	an.Analyze(sys.now, sys.jobs, nextRel) // warm scratch
+	an.Slack(sys.now, sys.jobs, nextRel) // warm scratch
 	allocs := testing.AllocsPerRun(100, func() {
-		an.Analyze(sys.now, sys.jobs, nextRel)
+		an.Slack(sys.now, sys.jobs, nextRel)
 	})
 	if allocs != 0 {
-		t.Errorf("Analyze allocates %v per call in steady state, want 0", allocs)
+		t.Errorf("Slack allocates %v per call in steady state, want 0", allocs)
 	}
 }
 
@@ -80,12 +80,12 @@ func TestAnalyzeZeroAllocsWithPhantoms(t *testing.T) {
 	for i, task := range sys.ts.Tasks {
 		an.AddPhantom(sys.now+task.Period*float64(i+1), 0.1, false)
 	}
-	an.Analyze(sys.now, sys.jobs, nextRel)
+	an.Slack(sys.now, sys.jobs, nextRel)
 	allocs := testing.AllocsPerRun(100, func() {
-		an.Analyze(sys.now, sys.jobs, nextRel)
+		an.Slack(sys.now, sys.jobs, nextRel)
 	})
 	if allocs != 0 {
-		t.Errorf("Analyze with phantoms allocates %v per call, want 0", allocs)
+		t.Errorf("Slack with phantoms allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -118,10 +118,10 @@ func TestStaircaseZeroSteadyStateAllocs(t *testing.T) {
 	an := NewAnalyzer(sys.ts)
 	an.SetStairCapture(true)
 	nextRel := sys.NextReleaseOf
-	an.Analyze(sys.now, sys.jobs, nextRel) // warm scratch + staircase
+	an.Slack(sys.now, sys.jobs, nextRel) // warm scratch + staircase
 	dl := sys.jobs[0].AbsDeadline
 	allocs := testing.AllocsPerRun(100, func() {
-		an.Analyze(sys.now, sys.jobs, nextRel)
+		an.Slack(sys.now, sys.jobs, nextRel)
 		an.StairCredit(sys.now, dl, 0.01)
 		an.StairBound(sys.now)
 	})

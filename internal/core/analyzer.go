@@ -70,21 +70,20 @@
 // deadline residue of one hyperperiod with prefix demand sums, suffix
 // slack minima, and burst-deviation envelopes (see grid.go). At each
 // scanned deadline the analyzer asks the grid, in O(log m), whether
-// any unscanned deadline could lower the slack minimum or raise the
-// intensity maximum past the utilization clamp; the first time the
-// answer is no — with a float-noise margin — the scan stops with
-// exactly the readings the full scan would have produced. The grid is
+// any unscanned deadline could lower the slack minimum; the first time
+// the answer is no — with a float-noise margin — the scan stops with
+// exactly the slack the full scan would have produced. The grid is
 // conservative by construction (it assumes every release stream is as
 // early as its residue class allows, so delayed streams and
 // activity-window skips only make the real demand smaller; an active
 // job released exactly at k·Period is due at one of its task's slots,
 // where the grid already books the full WCET, so only jittered jobs
-// are charged on top), which keeps the certificate sound and the returned values byte-identical
-// to the retained full-rescan path; the differential fuzz tests pin
-// that equivalence across the scenario corpus, generated scenario
-// documents, and randomized task sets. SetFullRescan(true) disables the
-// certificate and restores the verbatim pre-grid behavior as the
-// crosscheck oracle.
+// are charged on top), which keeps the certificate sound and the
+// returned slack byte-identical to the retained full-rescan path; the
+// differential fuzz tests pin that equivalence across the scenario
+// corpus, generated scenario documents, and randomized task sets.
+// SetFullRescan(true) disables the certificate, leaving the classic
+// cutoffs as the crosscheck oracle.
 package core
 
 import (
@@ -101,40 +100,31 @@ import (
 // and the reused scratch buffers are the only mutable fields.
 //
 // Concurrency contract: an Analyzer is NOT safe for concurrent use.
-// Analyze reuses per-instance scratch buffers so that steady-state
+// Slack reuses per-instance scratch buffers so that steady-state
 // calls allocate nothing, which means two goroutines calling into the
 // same Analyzer race on them. Give every goroutine (every concurrent
 // simulation) its own Analyzer — they are cheap to construct — as the
 // parallel experiment harness does by building one policy instance
 // per run.
 type Analyzer struct {
-	ts       *rtm.TaskSet
-	key      []gridKey // content key for ReuseFor (and the grid cache)
-	util     float64   // worst-case utilization
-	totalC   float64   // ΣCi
-	hyper    float64   // hyperperiod, 0 when unknown
-	maxScan  int       // hard cap on scanned deadlines per call
-	phantoms []phantom
+	ts         *rtm.TaskSet
+	key        []gridKey // content key for ReuseFor (and the grid cache)
+	util       float64   // worst-case utilization
+	totalC     float64   // ΣCi
+	hyper      float64   // hyperperiod, 0 when unknown
+	scanBudget int       // hard cap on scanned deadlines per call
+	phantoms   []phantom
 
 	// grid is the precomputed hyperperiod demand landscape driving
 	// the incremental certificate; nil when the hyperperiod is
 	// unknown or too large (the analyzer then always full-scans).
 	grid *demandGrid
-	// fullRescan disables the certificate, restoring the verbatim
-	// pre-grid scan as the differential-testing oracle.
+	// fullRescan disables the certificate, leaving the classic
+	// cutoffs to end every scan: the differential-testing oracle.
 	fullRescan bool
 	// certSlop is the float-noise margin the certificate must clear
 	// before stopping a scan early (scale-aware, set once).
 	certSlop float64
-	// slackOnly marks the current call as needing only the slack
-	// reading (set by Slack, cleared on return): the certificate may
-	// then skip its intensity clauses, which are the late stoppers —
-	// the deviation envelope cannot rule out a far intensity peak
-	// until the scan nears it, while the slack minimum is usually
-	// pinned within the first few deadlines. The slack value is
-	// byte-identical either way; only the (discarded) intensity
-	// reading would be under-scanned.
-	slackOnly bool
 
 	// The slack staircase (see SetStairCapture): every scanned
 	// candidate deadline with its constant c_d = d − h(t0, d), plus a
@@ -192,15 +182,14 @@ type Analyzer struct {
 	entSent  float64
 	entFront float64
 
-	// Scratch buffers reused across Analyze calls (see the
-	// concurrency contract above). entries grows to the high-water
-	// active+phantom count; streams is fixed at the task count.
-	// entCum/entOff/entSuf hold the per-call entry prefix sums (all
-	// and off-grid) and suffix slack bounds the certificate uses to
-	// cover entries the scan has not folded yet.
+	// Scratch buffers reused across Slack calls (see the concurrency
+	// contract above). entries grows to the high-water active+phantom
+	// count; streams is fixed at the task count. entOff/entSuf hold
+	// the per-call off-grid entry prefix sums and suffix slack bounds
+	// the certificate uses to cover entries the scan has not folded
+	// yet.
 	entries []phantom
 	streams []stream
-	entCum  []float64
 	entOff  []float64
 	entSuf  []float64
 
@@ -213,7 +202,7 @@ type Analyzer struct {
 	counters map[string]float64
 
 	// Per-call provenance for the flight recorder: how the most
-	// recent Analyze terminated. Valid until the next Analyze call.
+	// recent Slack call terminated. Valid until the next one.
 	// lastCal records whether it walked the deadline calendar.
 	lastScan  int
 	lastCert  bool
@@ -225,14 +214,14 @@ type Analyzer struct {
 
 	// certify's grid-boundary cursor (see slotsPast): the window of
 	// the previous scan point and its first slot past it, reset by
-	// every Analyze call.
+	// every Slack call.
 	certQ   float64
 	certIdx int
 }
 
 // phantom is synthetic demand used by the no-reclaim ablation: the
 // unused worst-case allowance of an early-completed job, kept until
-// its deadline passes. Analyze reuses the type for its sorted demand
+// its deadline passes. Slack reuses the type for its sorted demand
 // entries (active jobs and phantoms alike).
 type phantom struct {
 	deadline float64
@@ -253,18 +242,17 @@ const DefaultMaxScan = 1 << 20
 // NewAnalyzer builds an Analyzer for ts.
 func NewAnalyzer(ts *rtm.TaskSet) *Analyzer {
 	n := len(ts.Tasks)
-	// One backing array for the three per-entry float buffers, sized
+	// One backing array for the two per-entry float buffers, sized
 	// like entries (one current job per task); more entries regrow
 	// each independently.
-	buf := make([]float64, 3*n+1)
+	buf := make([]float64, 2*n+1)
 	a := &Analyzer{
-		ts:      ts,
-		maxScan: DefaultMaxScan,
-		entries: make([]phantom, 0, n),
-		streams: make([]stream, n),
-		entCum:  buf[:0:n],
-		entOff:  buf[n : n : 2*n],
-		entSuf:  buf[2*n:],
+		ts:         ts,
+		scanBudget: DefaultMaxScan,
+		entries:    make([]phantom, 0, n),
+		streams:    make([]stream, n),
+		entOff:     buf[:0:n],
+		entSuf:     buf[n:],
 	}
 	a.key = gridKeyOf(ts)
 	a.util = ts.Utilization()
@@ -323,16 +311,15 @@ func (a *Analyzer) ReuseFor(ts *rtm.TaskSet) bool {
 
 // SetFullRescan toggles the full-rescan oracle mode: when on, the
 // grid certificate is ignored and every call walks the deadline axis
-// to the classic cutoffs, byte-for-byte the pre-incremental behavior.
-// The differential tests run the analyzer in both modes and require
+// to the classic cutoffs. The differential tests run the analyzer in both modes and require
 // identical outputs.
 func (a *Analyzer) SetFullRescan(on bool) { a.fullRescan = on }
 
 // SetStairCapture enables the slack staircase (sticky; off by
-// default, no effect on the slack or intensity readings). With
-// capture on, every Analyze call at time t0 records each scanned
-// candidate deadline d together with its constant c_d = d − h(t0, d),
-// plus a sentinel covering the unscanned tail, so StairBound can
+// default, no effect on the slack reading). With capture on, every
+// Slack call at time t0 records each scanned candidate deadline d
+// together with its constant c_d = d − h(t0, d), plus a sentinel
+// covering the unscanned tail, so StairBound can
 // answer "how low can the system slack be right now?" at any later
 // query time in amortized O(1) without re-analyzing. This is what
 // lets the policy fast path skip whole analyses, not just truncate
@@ -357,7 +344,7 @@ func (a *Analyzer) SetStairCapture(on bool) {
 
 // StairBound returns a sound lower bound at time t1 on the current
 // system slack L(t1), from the staircase captured by the most recent
-// Analyze at t0 ≤ t1. Query times must be non-decreasing between
+// Slack call at t0 ≤ t1. Query times must be non-decreasing between
 // analyses; the cursors advance monotonically.
 //
 // Soundness: for a fixed deadline d, h(t, d) never grows after the
@@ -520,10 +507,10 @@ func (a *Analyzer) stairCreditSlow(t1, dl, w float64) {
 			return
 		}
 	}
-	if len(a.liftLo) == maxStairLifts {
+	if len(a.liftLo) == stairLiftCap {
 		a.compactLifts()
 	}
-	if len(a.liftLo) < maxStairLifts {
+	if len(a.liftLo) < stairLiftCap {
 		i := len(a.liftLo)
 		a.liftLo = append(a.liftLo, lo)
 		a.liftW = append(a.liftW, w)
@@ -572,10 +559,10 @@ func (a *Analyzer) compactLifts() {
 	a.liftLo[0], a.liftW[0] = 0, base
 }
 
-// maxStairLifts bounds the suffix-lift boundary list; between two
+// stairLiftCap bounds the suffix-lift boundary list; between two
 // analyses only a handful of distinct deadlines are ever credited (the
 // running job's, plus completion reclaims), so the cap is generous.
-const maxStairLifts = 8
+const stairLiftCap = 8
 
 // stairAdvance moves the expiry cursors (captured entries and grid
 // tail) up to t1. Idempotent per timestamp: a decision point queries
@@ -648,7 +635,7 @@ func (a *Analyzer) SetMaxScan(n int) {
 	if n < 1 {
 		n = DefaultMaxScan
 	}
-	a.maxScan = n
+	a.scanBudget = n
 }
 
 // AddPhantom registers phantom demand (no-reclaim ablation). onGrid
@@ -710,49 +697,22 @@ func (a *Analyzer) ResetCounters() {
 	a.phantoms = a.phantoms[:0]
 }
 
-// LastScan reports how the most recent Analyze call terminated: the
+// LastScan reports how the most recent Slack call terminated: the
 // number of deadlines scanned, whether the demand-grid certificate
 // stopped the scan early, and whether the scan was truncated by the
 // scan budget (conservative degradation).
-// Valid until the next Analyze call; used for per-decision
-// provenance.
+// Valid until the next Slack call; used for per-decision provenance.
 func (a *Analyzer) LastScan() (scanned int, certified, truncated bool) {
 	return a.lastScan, a.lastCert, a.lastTrunc
 }
 
 // Slack returns L(t) ≥ 0 given the currently active jobs and the next
-// release time of each task (periodic continuation). The result is
-// the exact minimum when the scan completes via a cutoff, or a sound
-// underestimate if the scan budget is exhausted.
+// release time of each task (periodic continuation), from one scan of
+// the slack-time analysis. The result is the exact minimum when the
+// scan completes via a cutoff, or a sound underestimate if the scan
+// budget is exhausted. See the package comment for the definition,
+// soundness, and the termination argument.
 func (a *Analyzer) Slack(t float64, active []*sim.JobState, nextReleaseOf func(int) float64) float64 {
-	a.slackOnly = true
-	l, _ := a.Analyze(t, active, nextReleaseOf)
-	a.slackOnly = false
-	return l
-}
-
-// Intensity returns the critical-interval intensity
-//
-//	s*(t) = max over deadlines d of  h(t, d) / (d − t),
-//
-// the minimal constant speed that keeps every current and future
-// deadline feasible from time t onward. It is the dual reading of the
-// same slack-time analysis: where Slack reports the largest stretch
-// the *current job* may absorb, Intensity reports the uniform speed
-// that spreads all analyzed slack evenly over the outstanding work —
-// the distribution a convex power curve prefers. The result is exact
-// under the scan cutoffs and degrades to 1 (full speed) if the scan
-// budget is exhausted.
-func (a *Analyzer) Intensity(t float64, active []*sim.JobState, nextReleaseOf func(int) float64) float64 {
-	_, s := a.Analyze(t, active, nextReleaseOf)
-	return s
-}
-
-// Analyze performs one scan of the slack-time analysis and returns
-// both readings: the minimum slack L(t) and the critical intensity
-// s*(t). See the package comment for definitions, soundness, and the
-// termination argument.
-func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func(int) float64) (slack, intensity float64) {
 	a.calls++
 	a.lastTrunc = false
 	a.dropExpiredPhantoms(t)
@@ -783,7 +743,7 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 	// certificate for this call only.
 	streams := a.streams
 	maxFirstDeadline, minFirstDeadline := t, math.Inf(1)
-	useCert := a.grid != nil && !a.fullRescan && a.maxScan == DefaultMaxScan
+	useCert := a.grid != nil && !a.fullRescan && a.scanBudget == DefaultMaxScan
 	exact := useCert && a.grid.exact
 	for i, task := range a.ts.Tasks {
 		r := nextReleaseOf(i)
@@ -828,24 +788,21 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		horizon = maxFirstDeadline + a.hyper
 	}
 
-	// Entry bounds for the certificate: entCum[l] is the demand of
-	// entries[0..l] and entOff[l] its off-grid part (entries the grid
-	// does not already charge at their own slot, see onGrid); entSuf[l]
-	// is the suffix minimum, over off-grid entries only, of
-	// φ_l = (1−U)·e_l − entOff[l], which turns "slack at any unfolded
-	// off-grid entry deadline" into one precomputed lookup (see
-	// certify). O(#entries) once per call, so the certificate can
+	// Entry bounds for the certificate: entOff[l] is the off-grid
+	// demand of entries[0..l] (entries the grid does not already charge
+	// at their own slot, see onGrid); entSuf[l] is the suffix minimum,
+	// over off-grid entries only, of φ_l = (1−U)·e_l − entOff[l],
+	// which turns "slack at any unfolded off-grid entry deadline" into
+	// one precomputed lookup (see certify). O(#entries) once per call, so the certificate can
 	// stop the scan long before a far-deadline active job is folded.
 	if useCert && len(entries) > 0 {
-		var totalRem, offRem float64
+		var offRem float64
 		gu := a.grid.util
-		cum, off := a.entCum[:0], a.entOff[:0]
+		off := a.entOff[:0]
 		for _, e := range entries {
-			totalRem += e.rem
 			if !e.onGrid {
 				offRem += e.rem
 			}
-			cum = append(cum, totalRem)
 			off = append(off, offRem)
 		}
 		k := len(entries)
@@ -862,14 +819,13 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 				suf[l] = math.Min((1-gu)*entries[l].deadline-off[l], suf[l])
 			}
 		}
-		a.entCum, a.entOff, a.entSuf = cum, off, suf
+		a.entOff, a.entSuf = off, suf
 	}
 
 	var (
 		h         float64 // accumulated demand at the scan point
 		minL      = math.Inf(1)
-		maxS      float64 // running max of h/(d-t)
-		ai        int     // next active entry
+		ai        int // next active entry
 		scanCnt   int
 		certified bool
 		dLast     float64 // last scanned candidate deadline
@@ -942,53 +898,43 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 				a.stairD = append(a.stairD, d)
 				a.stairC = append(a.stairC, l+t)
 			}
-			if s := h / (d - t); s > maxS {
-				maxS = s
-			}
 		}
-		if minL <= 0 || maxS >= 1 {
-			// Slack exhausted / full speed required: neither reading
-			// can get more extreme for a feasible system.
+		if minL <= 0 {
+			// Slack exhausted: the reading cannot get more extreme
+			// for a feasible system.
 			extreme = true
 			break
 		}
-		// Utilization cutoffs: stop once no later deadline can lower
-		// the slack minimum or raise the intensity maximum. Beyond
-		// the scan point, h(t,d) ≤ activeRem + C_Σ + U·(d−t).
-		if a.util < 1 {
-			envelope := activeRem + a.totalC
-			slackDone := (d-t)*(1-a.util)-envelope > minL
-			intensityDone := maxS > a.util && envelope/(d-t) < maxS-a.util
-			if slackDone && intensityDone {
-				break
-			}
+		// Utilization cutoff: stop once no later deadline can lower
+		// the slack minimum. Beyond the scan point,
+		// h(t,d) ≤ activeRem + C_Σ + U·(d−t).
+		if a.util < 1 && (d-t)*(1-a.util)-(activeRem+a.totalC) > minL {
+			break
 		}
 		// Incremental certificate: ask the precomputed hyperperiod
 		// landscape (plus the per-call entry suffix bounds) whether
 		// any deadline beyond d — grid slot or unfolded entry — could
-		// still lower the slack minimum or push the intensity maximum
-		// past its utilization clamp. Both structures over-count the
-		// unscanned demand (delayed streams count at their earliest
-		// residue, unfolded on-grid jobs at their own slot, the rest in
-		// full), so a positive answer is
-		// sound — and carries a float-noise margin, keeping the early
-		// stop byte-identical to the full rescan.
+		// still lower the slack minimum. Both structures over-count
+		// the unscanned demand (delayed streams count at their
+		// earliest residue, unfolded on-grid jobs at their own slot,
+		// the rest in full), so a positive answer is sound — and
+		// carries a float-noise margin, keeping the early stop
+		// byte-identical to the full rescan.
 		if useCert && d > t && !math.IsInf(minL, 1) {
-			if a.certify(t, d, h, ai, minL, maxS) {
+			if a.certify(t, d, h, ai, minL) {
 				certified = true
 				break
 			}
 		}
-		if scanCnt >= a.maxScan {
-			// Budget exhausted: degrade both readings to their sound
-			// conservative values for everything beyond d.
+		if scanCnt >= a.scanBudget {
+			// Budget exhausted: degrade the slack to its sound
+			// conservative value for everything beyond d.
 			a.capped++
 			a.lastTrunc = true
 			lb := (d-t)*(1-a.util) - activeRem - a.totalC
 			if lb < minL {
 				minL = lb
 			}
-			maxS = 1
 			break
 		}
 	}
@@ -1000,16 +946,6 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		a.rebuilds++
 	}
 
-	// Far-deadline limit: as d → ∞ the intensity approaches U from
-	// below along the periodic envelope, and past the periodicity
-	// cutoff every ratio is bounded by max(maxS, U) (mediant
-	// inequality on (h+U·H)/(Δ+H)).
-	if a.util > maxS {
-		maxS = a.util
-	}
-	if maxS > 1 {
-		maxS = 1
-	}
 	// Finalize the staircase (see StairBound): suffix minima over the
 	// captured constants, the unscanned-tail cover, and the
 	// cursor/credit reset. With a usable grid the tail is served live
@@ -1105,28 +1041,27 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 		// No deadline scanned at all: an empty task set (no streams,
 		// no active jobs). Nothing constrains the slack; report zero
 		// conservatively.
-		return 0, maxS
+		return 0
 	}
 	if minL < 0 {
 		minL = 0
 	}
-	return minL, maxS
+	return minL
 }
 
 // certify reports whether the demand grid (plus the per-call entry
 // suffix bounds) proves that no deadline beyond the scan point dP can
-// lower the slack minimum below minL or raise the intensity maximum
-// past its utilization clamp, so the scan may stop with exactly the
-// readings the full walk would produce.
+// lower the slack minimum below minL, so the scan may stop with
+// exactly the slack the full walk would produce.
 //
-// Arguments beyond the readings: h is the demand folded so far and ai
-// the scan's entry cursor; unfoldedAt(ai) gives the unfolded entry
-// demand rem, its off-grid part offRem, the folded off-grid demand
-// offPre and offMin, the suffix minimum of φ_l = (1−U)·e_l − entOff[l]
-// over the unfolded off-grid entries. Preconditions (enforced at the
-// call site): every release stream sits on its nominal k·Period grid,
-// dP > t, minL is finite, and all unfolded entry deadlines exceed dP
-// (the fold loop guarantees it).
+// Arguments beyond minL: h is the demand folded so far and ai the
+// scan's entry cursor; unfoldedAt(ai) gives the unfolded off-grid
+// demand offRem, the folded off-grid demand offPre and offMin, the
+// suffix minimum of φ_l = (1−U)·e_l − entOff[l] over the unfolded
+// off-grid entries. Preconditions (enforced at the call site): every
+// release stream sits on its nominal k·Period grid, dP > t, minL is
+// finite, and all unfolded entry deadlines exceed dP (the fold loop
+// guarantees it).
 //
 // Derivation (see docs/performance.md for the long form). Write
 // dP = q·H + ρ and let idx be the first grid slot past ρ (boundary
@@ -1155,15 +1090,11 @@ func (a *Analyzer) Analyze(t float64, active []*sim.JobState, nextReleaseOf func
 //
 //	slack(e_l) ≥ φ_l + (offPre − t − h + util·dP − dev),
 //
-// minimized by the precomputed offMin. For intensity either every
-// unscanned ratio stays strictly below the utilization clamp, or the
-// unified envelope h(e) ≤ h + rem + util·(e−dP) + dev, which still
-// charges every unfolded entry in full, caps every future ratio by
-// util + A/(e−t), decreasing in e, below the maximum already found.
-// Every comparison carries a slop margin scaled to the magnitudes
-// involved, so float rounding can only keep the scan going — never
-// stop it unsoundly — and the early stop is byte-identical.
-func (a *Analyzer) certify(t, dP, h float64, ai int, minL, maxS float64) bool {
+// minimized by the precomputed offMin. Every comparison carries a slop
+// margin scaled to the magnitudes involved, so float rounding can only
+// keep the scan going — never stop it unsoundly — and the early stop
+// is byte-identical.
+func (a *Analyzer) certify(t, dP, h float64, ai int, minL float64) bool {
 	g := a.grid
 	shift := g.hyper - g.total // (1−U)·H
 	if shift < 0 {
@@ -1189,35 +1120,14 @@ func (a *Analyzer) certify(t, dP, h float64, ai int, minL, maxS float64) bool {
 	if !(bound >= minL+slop) {
 		return false
 	}
-	if u.offRem > 0 {
-		// Unfolded off-grid entry deadlines as slack candidates.
-		if !(u.offMin+(u.offPre-t-h+g.util*dP-g.dev) >= minL+slop) {
-			return false
-		}
-	}
-	if a.slackOnly {
-		return true // caller discards intensity; slack is certified
-	}
-	// Intensity, unified envelope: ratio(e) ≤ util + A/(e−t) for every
-	// future candidate (grid slot or entry), with e−t > dP−t, so the
-	// supremum sits at the scan point.
-	A := h + u.rem + g.dev - g.util*(dP-t)
-	if A <= -slop {
-		return true // everything stays below the utilization clamp
-	}
-	if g.util+A/(dP-t) <= maxS-slop {
-		return true // everything stays at or below the found maximum
-	}
-	// Sharper below-clamp clause, valid once all entries are folded:
-	// anchored at the grid slots instead of the worst-case envelope.
-	return u.rem == 0 && g.maxFU+h-cumBefore+g.util*(t-q*g.hyper) <= -slop
+	// Unfolded off-grid entry deadlines as slack candidates.
+	return u.offRem == 0 || u.offMin+(u.offPre-t-h+g.util*dP-g.dev) >= minL+slop
 }
 
-// unfolded summarizes the demand entries a scan has not folded yet,
-// entries[ai:], for certify and the staircase tail.
+// unfolded summarizes the off-grid demand entries a scan has not
+// folded yet, entries[ai:], for certify and the staircase tail.
 type unfolded struct {
-	rem    float64 // demand of every unfolded entry
-	offRem float64 // its off-grid part: all the slack clauses charge
+	offRem float64 // off-grid demand of the unfolded entries
 	offPre float64 // off-grid demand already folded
 	offMin float64 // entSuf[ai]: min φ over unfolded off-grid entries
 }
@@ -1228,12 +1138,10 @@ func (a *Analyzer) unfoldedAt(ai int) unfolded {
 	if len(a.entries) == 0 {
 		return u
 	}
-	var sPre float64
 	if ai > 0 {
-		sPre, u.offPre = a.entCum[ai-1], a.entOff[ai-1]
+		u.offPre = a.entOff[ai-1]
 	}
-	k := len(a.entries) - 1
-	u.rem, u.offRem, u.offMin = a.entCum[k]-sPre, a.entOff[k]-u.offPre, a.entSuf[ai]
+	u.offRem, u.offMin = a.entOff[len(a.entries)-1]-u.offPre, a.entSuf[ai]
 	return u
 }
 
@@ -1255,7 +1163,7 @@ func (a *Analyzer) windowOf(x, slop float64) (q, rho float64) {
 }
 
 // slotsPast returns g.pastIndex(rho, slop) for the scan point q·H + rho
-// from a cursor that only moves forward within one Analyze call: the
+// from a cursor that only moves forward within one Slack call: the
 // scan points of a call only grow and slop is fixed per call, so within
 // one window the answer can only advance. A new window (rare: once per
 // hyperperiod scanned) repositions the cursor by binary search.

@@ -30,12 +30,9 @@ func TestSlackSingleTaskFresh(t *testing.T) {
 	// slack = 2 everywhere; min = 2.
 	ts := rtm.NewTaskSet("x", rtm.Task{WCET: 2, Period: 4})
 	a := NewAnalyzer(ts)
-	slack, intensity := a.Analyze(0, mkActive([2]float64{4, 2}), nextRel(4))
+	slack := a.Slack(0, mkActive([2]float64{4, 2}), nextRel(4))
 	if math.Abs(slack-2) > 1e-9 {
 		t.Errorf("slack = %v, want 2", slack)
-	}
-	if math.Abs(intensity-0.5) > 1e-9 {
-		t.Errorf("intensity = %v, want 0.5", intensity)
 	}
 }
 
@@ -48,15 +45,9 @@ func TestSlackReclaimsEarlyCompletion(t *testing.T) {
 		rtm.Task{WCET: 2, Period: 4},
 	)
 	a := NewAnalyzer(ts)
-	slack, intensity := a.Analyze(0.5, mkActive([2]float64{4, 2}), nextRel(4, 4))
+	slack := a.Slack(0.5, mkActive([2]float64{4, 2}), nextRel(4, 4))
 	if math.Abs(slack-1.5) > 1e-9 {
 		t.Errorf("slack = %v, want 1.5 (reclaimed)", slack)
-	}
-	// intensity at d=4: 2/3.5; at d=8: 6/7.5 = 0.8 (max); at d=12:
-	// 10/11.5 < 0.87...; d=12: 10/11.5=0.8696! larger. Periodic:
-	// approaches 1 from below; max over scan should approach U=1.
-	if intensity < 0.8 || intensity > 1 {
-		t.Errorf("intensity = %v, want in [0.8, 1]", intensity)
 	}
 }
 
@@ -65,7 +56,7 @@ func TestSlackStaticUtilization(t *testing.T) {
 	// h=1 → slack 9; later deadlines have even more. Min = 9.
 	ts := rtm.NewTaskSet("x", rtm.Task{WCET: 1, Period: 10})
 	a := NewAnalyzer(ts)
-	slack, _ := a.Analyze(0, mkActive([2]float64{10, 1}), nextRel(10))
+	slack := a.Slack(0, mkActive([2]float64{10, 1}), nextRel(10))
 	if math.Abs(slack-9) > 1e-9 {
 		t.Errorf("slack = %v, want 9", slack)
 	}
@@ -86,7 +77,7 @@ func TestSlackLookaheadSeesFutureTightness(t *testing.T) {
 		rtm.Task{WCET: 9.5, Period: 10},
 	)
 	a := NewAnalyzer(ts)
-	slack, _ := a.Analyze(0, mkActive([2]float64{100, 1}), nextRel(100, 10))
+	slack := a.Slack(0, mkActive([2]float64{100, 1}), nextRel(100, 10))
 	if math.Abs(slack-10.5) > 1e-9 {
 		t.Errorf("slack = %v, want 10.5", slack)
 	}
@@ -99,13 +90,10 @@ func TestSlackZeroAtFullDemand(t *testing.T) {
 		rtm.Task{WCET: 2, Period: 4},
 	)
 	a := NewAnalyzer(ts)
-	slack, intensity := a.Analyze(0,
+	slack := a.Slack(0,
 		mkActive([2]float64{4, 2}, [2]float64{4, 2}), nextRel(4, 4))
 	if slack != 0 {
 		t.Errorf("slack = %v, want 0", slack)
-	}
-	if intensity != 1 {
-		t.Errorf("intensity = %v, want 1", intensity)
 	}
 }
 
@@ -114,12 +102,9 @@ func TestSlackNeverNegative(t *testing.T) {
 	// the analyzer must still return 0, not negative.
 	ts := rtm.NewTaskSet("x", rtm.Task{WCET: 2, Period: 4})
 	a := NewAnalyzer(ts)
-	slack, intensity := a.Analyze(3, mkActive([2]float64{4, 2}), nextRel(4))
+	slack := a.Slack(3, mkActive([2]float64{4, 2}), nextRel(4))
 	if slack != 0 {
 		t.Errorf("slack = %v, want clamped 0", slack)
-	}
-	if intensity != 1 {
-		t.Errorf("intensity = %v, want clamped 1", intensity)
 	}
 }
 
@@ -128,7 +113,7 @@ func TestSlackEmptySystem(t *testing.T) {
 	a := NewAnalyzer(ts)
 	// No active jobs; next release at 8, deadline 18: slack
 	// min(18 - 2 - 1, ...) = 15 at the first future deadline.
-	slack, _ := a.Analyze(2, nil, nextRel(8))
+	slack := a.Slack(2, nil, nextRel(8))
 	if math.Abs(slack-15) > 1e-9 {
 		t.Errorf("slack = %v, want 15", slack)
 	}
@@ -143,7 +128,7 @@ func TestSlackPhantomDemand(t *testing.T) {
 	)
 	a := NewAnalyzer(ts)
 	a.AddPhantom(4, 1.5, false) // completed early, 1.5 unused
-	slack, _ := a.Analyze(0.5, mkActive([2]float64{4, 2}), nextRel(4, 4))
+	slack := a.Slack(0.5, mkActive([2]float64{4, 2}), nextRel(4, 4))
 	// h(4) = 2 + 1.5 = 3.5 → slack 0.
 	if slack != 0 {
 		t.Errorf("slack with phantom = %v, want 0", slack)
@@ -164,13 +149,10 @@ func TestSlackScanBudgetDegradesConservatively(t *testing.T) {
 	capped := NewAnalyzer(ts)
 	capped.SetMaxScan(1)
 	active := mkActive([2]float64{4, 1}, [2]float64{5, 1})
-	fSlack, fInt := full.Analyze(0, active, nextRel(4, 5))
-	cSlack, cInt := capped.Analyze(0, active, nextRel(4, 5))
+	fSlack := full.Slack(0, active, nextRel(4, 5))
+	cSlack := capped.Slack(0, active, nextRel(4, 5))
 	if cSlack > fSlack+1e-12 {
 		t.Errorf("capped slack %v exceeds full %v", cSlack, fSlack)
-	}
-	if cInt < fInt-1e-12 {
-		t.Errorf("capped intensity %v below full %v", cInt, fInt)
 	}
 	if capped.Counters()["slack_budget_capped"] == 0 {
 		t.Error("cap counter not incremented")
@@ -190,28 +172,43 @@ func TestSlackUtilizationCutoffMatchesFullScan(t *testing.T) {
 	)
 	a := NewAnalyzer(ts)
 	active := mkActive([2]float64{8, 1}, [2]float64{12, 2})
-	s1, i1 := a.Analyze(0, active, nextRel(8, 12))
-	s2, i2 := a.Analyze(0, active, nextRel(8, 12))
-	if s1 != s2 || i1 != i2 {
+	s1 := a.Slack(0, active, nextRel(8, 12))
+	s2 := a.Slack(0, active, nextRel(8, 12))
+	if s1 != s2 {
 		t.Error("analysis not deterministic")
 	}
 	// Deadlines: 8 (h=1, slack 7), 12 (h=3, slack 9), 16 (h=4,
-	// slack 12), 20 (h=5, slack 15), 24 (h=7, slack 17), ...
-	// min = 7 at d=8; max ratio = 3/12? 1/8=0.125, 3/12=0.25,
-	// 4/16=0.25, 7/24≈0.292, 8/32=0.25, 10/36=0.278, ...
-	// U = 1/8 + 2/12 = 0.2917; ratios approach U. Largest is ~0.2917.
+	// slack 12), 24 (h=7, slack 17), ... min = 7 at d=8.
 	if math.Abs(s1-7) > 1e-9 {
 		t.Errorf("slack = %v, want 7", s1)
 	}
-	if i1 < 0.29 || i1 > 0.2918 {
-		t.Errorf("intensity = %v, want ≈ 0.2917", i1)
+}
+
+// TestSlackStopsAtUtilizationCutoff pins where an uncertified scan
+// stops: at the first deadline past which the utilization bound
+// (d−t)(1−U) − R − C_Σ exceeds the slack minimum. On the state of
+// TestSlackUtilizationCutoffMatchesFullScan (U = 7/24, R + C_Σ = 6)
+// that is d = 24, the fourth deadline: 17 − 6 = 11 > 7.
+func TestSlackStopsAtUtilizationCutoff(t *testing.T) {
+	ts := rtm.NewTaskSet("x",
+		rtm.Task{WCET: 1, Period: 8},
+		rtm.Task{WCET: 2, Period: 12},
+	)
+	a := NewAnalyzer(ts)
+	a.SetFullRescan(true)
+	active := mkActive([2]float64{8, 1}, [2]float64{12, 2})
+	if got := a.Slack(0, active, nextRel(8, 12)); got != 7 {
+		t.Errorf("slack = %v, want 7", got)
+	}
+	if scanned, certified, truncated := a.LastScan(); scanned != 4 || certified || truncated {
+		t.Errorf("LastScan = (%d, %v, %v), want (4, false, false)", scanned, certified, truncated)
 	}
 }
 
 func TestAnalyzerCounters(t *testing.T) {
 	ts := rtm.NewTaskSet("x", rtm.Task{WCET: 1, Period: 4})
 	a := NewAnalyzer(ts)
-	a.Analyze(0, mkActive([2]float64{4, 1}), nextRel(4))
+	a.Slack(0, mkActive([2]float64{4, 1}), nextRel(4))
 	c := a.Counters()
 	if c["slack_calls"] != 1 {
 		t.Errorf("calls = %v, want 1", c["slack_calls"])
@@ -232,7 +229,7 @@ func TestSlackConstrainedDeadlines(t *testing.T) {
 	a := NewAnalyzer(ts)
 	// Active job deadline 2, rem 1 at t=0: slack at 2 is 1; future
 	// deadlines 12 (h=2, slack 10)... min = 1.
-	slack, _ := a.Analyze(0, mkActive([2]float64{2, 1}), nextRel(10))
+	slack := a.Slack(0, mkActive([2]float64{2, 1}), nextRel(10))
 	if math.Abs(slack-1) > 1e-9 {
 		t.Errorf("slack = %v, want 1", slack)
 	}

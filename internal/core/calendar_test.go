@@ -95,9 +95,9 @@ func calendarCase(seed uint64) (ts *rtm.TaskSet, now float64, active []*sim.JobS
 
 // TestCalendarMatchesLinearMerge pins the deadline-calendar walk to the
 // linear stream merge it replaces: on random integer-period task sets
-// both walks must return ==-identical Analyze and Slack readings, the
-// same LastScan provenance and the same staircase capture, and the
-// calendar must actually be taken.
+// both walks must return ==-identical Slack readings (on a first and a
+// repeated call), the same LastScan provenance and the same staircase
+// capture, and the calendar must actually be taken.
 func TestCalendarMatchesLinearMerge(t *testing.T) {
 	wrapped, uFull := 0, 0
 	const cases = 600
@@ -119,7 +119,7 @@ func TestCalendarMatchesLinearMerge(t *testing.T) {
 		}
 		cal.SetStairCapture(true)
 		lin.SetStairCapture(true)
-		compare := func(what string, got, want [2]float64) {
+		compare := func(what string, got, want float64) {
 			t.Helper()
 			if got != want {
 				t.Fatalf("seed %d %s: calendar %v != linear %v", seed, what, got, want)
@@ -141,13 +141,11 @@ func TestCalendarMatchesLinearMerge(t *testing.T) {
 				}
 			}
 		}
-		gl, gs := cal.Analyze(now, active, nextRel)
-		wl, ws := lin.Analyze(now, active, nextRel)
-		compare("Analyze", [2]float64{gl, gs}, [2]float64{wl, ws})
+		compare("Slack", cal.Slack(now, active, nextRel), lin.Slack(now, active, nextRel))
 		if len(cal.stairD) > 0 && cal.stairLast-cal.stairD[0] >= cal.grid.hyper {
 			wrapped++
 		}
-		compare("Slack", [2]float64{cal.Slack(now, active, nextRel)}, [2]float64{lin.Slack(now, active, nextRel)})
+		compare("repeated Slack", cal.Slack(now, active, nextRel), lin.Slack(now, active, nextRel))
 	}
 	t.Logf("%d of %d scans wrapped past a hyperperiod; %d sets at utilization 1", wrapped, cases, uFull)
 	if wrapped < cases/10 || uFull == 0 {
@@ -167,7 +165,7 @@ func TestCalendarStandsDown(t *testing.T) {
 	if a.grid == nil || a.grid.calPos != nil {
 		t.Fatal("non-integer periods: want a grid without a calendar")
 	}
-	a.Analyze(1, nil, func(i int) float64 { return frac.Tasks[i].Period })
+	a.Slack(1, nil, func(i int) float64 { return frac.Tasks[i].Period })
 	if a.lastCal {
 		t.Error("non-integer periods took the calendar")
 	}
@@ -202,18 +200,18 @@ func TestCalendarStandsDown(t *testing.T) {
 			c.setup(cal)
 			c.setup(lin)
 		}
-		gl, gs := cal.Analyze(c.now, nil, c.nextRel)
-		wl, ws := lin.Analyze(c.now, nil, c.nextRel)
+		gl := cal.Slack(c.now, nil, c.nextRel)
+		wl := lin.Slack(c.now, nil, c.nextRel)
 		if cal.lastCal {
 			t.Errorf("%s: took the calendar", c.name)
 		}
-		if gl != wl || gs != ws {
-			t.Errorf("%s: readings (%v, %v) != linear (%v, %v)", c.name, gl, gs, wl, ws)
+		if gl != wl {
+			t.Errorf("%s: slack %v != linear %v", c.name, gl, wl)
 		}
 	}
 	// Control: the same set on its nominal grid does take the calendar.
 	cal := NewAnalyzer(ts)
-	cal.Analyze(7.3, nil, nominal)
+	cal.Slack(7.3, nil, nominal)
 	if !cal.lastCal {
 		t.Error("on-grid streams did not take the calendar")
 	}

@@ -3,18 +3,17 @@ package core
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dvsslack/internal/prng"
 	"dvsslack/internal/rtm"
 	"dvsslack/internal/sim"
 )
 
-// bruteSlack recomputes L(t) and the intensity by direct enumeration:
-// every deadline in the periodicity window is visited and h(t,d) is
-// summed from scratch — an independent O(n·D) oracle for the
-// incremental sweep in Analyzer.Analyze.
-func bruteSlack(ts *rtm.TaskSet, t float64, active []*sim.JobState, nextRel func(int) float64) (float64, float64) {
+// bruteSlack recomputes L(t) by direct enumeration: every deadline in
+// the periodicity window is visited and h(t,d) is summed from scratch —
+// an independent O(n·D) oracle for the incremental sweep in
+// Analyzer.Slack.
+func bruteSlack(ts *rtm.TaskSet, t float64, active []*sim.JobState, nextRel func(int) float64) float64 {
 	h, okH := ts.Hyperperiod()
 	if !okH {
 		panic("bruteSlack needs a hyperperiod")
@@ -54,39 +53,40 @@ func bruteSlack(ts *rtm.TaskSet, t float64, active []*sim.JobState, nextRel func
 	}
 
 	minL := math.Inf(1)
-	var maxS float64
 	for _, d := range deadlines {
 		if d <= t || d > horizon+1e-9 {
 			continue
 		}
-		hd := demand(d)
-		if l := d - t - hd; l < minL {
+		if l := d - t - demand(d); l < minL {
 			minL = l
 		}
-		if s := hd / (d - t); s > maxS {
-			maxS = s
-		}
 	}
-	if u := ts.Utilization(); u > maxS {
-		maxS = u
-	}
-	if maxS > 1 {
-		maxS = 1
-	}
-	if minL < 0 {
+	if minL < 0 || math.IsInf(minL, 1) {
 		minL = 0
 	}
-	if math.IsInf(minL, 1) {
-		minL = 0
-	}
-	return minL, maxS
+	return minL
 }
 
-// TestAnalyzeMatchesBruteForce cross-checks the production analyzer
+// addSeeds seeds f with n inputs (uint64, k × uint8) drawn from the
+// fixed PRNG stream seeded by stream: plain go test replays the same
+// n cases on every run, and a fuzz run mutates from them.
+func addSeeds(f *testing.F, n, k int, stream uint64) {
+	src := prng.New(stream)
+	for i := 0; i < n; i++ {
+		args := []any{src.Uint64()}
+		for j := 0; j < k; j++ {
+			args = append(args, uint8(src.Uint64()))
+		}
+		f.Add(args...)
+	}
+}
+
+// FuzzSlackMatchesBruteForce cross-checks the production analyzer
 // (incremental sweep, early cutoffs) against the naive oracle on
 // random mid-simulation states.
-func TestAnalyzeMatchesBruteForce(t *testing.T) {
-	f := func(seed uint64, nRaw, uRaw, stateRaw uint8) bool {
+func FuzzSlackMatchesBruteForce(f *testing.F) {
+	addSeeds(f, 150, 3, 1)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, uRaw, stateRaw uint8) {
 		n := 1 + int(nRaw)%6
 		u := 0.2 + 0.8*float64(uRaw)/255
 		cfg := rtm.DefaultGenConfig(n, u, seed)
@@ -94,7 +94,7 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 		cfg.Periods = []float64{10, 20, 25, 50, 100}
 		ts, err := rtm.Generate(cfg)
 		if err != nil {
-			return false
+			t.Fatalf("seed=%d n=%d u=%.3f: %v", seed, n, u, err)
 		}
 		// Fabricate a plausible mid-simulation state: a random time,
 		// a random subset of tasks with an active (partially
@@ -121,29 +121,13 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 		}
 		nr := func(i int) float64 { return nextRel[i] }
 
-		a := NewAnalyzer(ts)
-		gotL, gotS := a.Analyze(now, active, nr)
-		wantL, wantS := bruteSlack(ts, now, active, nr)
-
 		// The analyzer may return the clamped-at-zero value or stop
 		// scanning early once the minimum cannot improve; both must
-		// agree with the oracle to float tolerance. Intensity may
-		// legitimately exceed the oracle's when the scan stopped at
-		// minL <= 0 (it reports 1, and the oracle's max is also >= 1
-		// in that case after clamping).
-		if math.Abs(gotL-wantL) > 1e-6 {
-			t.Logf("seed=%d n=%d u=%.3f now=%.3f: slack %v != oracle %v",
-				seed, n, u, now, gotL, wantL)
-			return false
+		// agree with the oracle to float tolerance.
+		got := NewAnalyzer(ts).Slack(now, active, nr)
+		if want := bruteSlack(ts, now, active, nr); math.Abs(got-want) > 1e-6 {
+			t.Errorf("seed=%d n=%d u=%.3f now=%.3f: slack %v != oracle %v",
+				seed, n, u, now, got, want)
 		}
-		if math.Abs(gotS-wantS) > 1e-6 {
-			t.Logf("seed=%d n=%d u=%.3f now=%.3f: intensity %v != oracle %v",
-				seed, n, u, now, gotS, wantS)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
+	})
 }

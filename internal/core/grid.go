@@ -17,10 +17,10 @@ import (
 // The grid is the "event structure" of the incremental analyzer: it
 // is built once per task set (the streams' deadline residues never
 // change — release skips and jitter only delay individual streams,
-// which the certificate treats conservatively), and every Analyze
-// call reuses it to certify that the deadlines it did not visit
-// cannot change either analysis reading. See Analyzer.certify for
-// the exact inequalities and docs/performance.md for the derivation.
+// which the certificate treats conservatively), and every Slack call
+// reuses it to certify that the deadlines it did not visit cannot
+// lower the slack. See Analyzer.certify for the exact inequalities
+// and docs/performance.md for the derivation.
 //
 // Positions are offsets in (0, H]: the canonical deadline set is
 // {w·H + pos[j] : w ≥ 0, j < m}. With the integer period pools used
@@ -40,15 +40,10 @@ type demandGrid struct {
 	sufMin []float64
 	allMin float64 // min over all j of (pos[j] − cum[j])
 	total  float64 // cum[m−1] = U·H (worst-case work per hyperperiod)
-	// maxFU = max over j of (cum[j] − util·pos[j]): the largest
-	// excursion of cumulative demand above the utilization line,
-	// anchored at the deadline positions. Drives the below-
-	// utilization intensity certificate.
-	maxFU float64
 	// dev bounds the demand of ANY interval (a, b] of the periodic
 	// deadline set by util·(b−a) + dev (max burst above average over
-	// one period). Drives the above-utilization intensity
-	// certificate.
+	// one period). It serves only the off-grid entry clause of the
+	// certificate and the staircase's unfolded-entry sentinel.
 	dev float64
 	// util is the grid's own utilization total/hyper. It may differ
 	// from rtm.TaskSet.Utilization by float rounding; the certificate
@@ -66,27 +61,27 @@ type demandGrid struct {
 	// calPos[k] is the offset in (0, H], calTask[k] the task due
 	// there. Built only on exact grids, so that window bases plus
 	// offsets reproduce the linear merge's accumulated stream
-	// deadlines bit for bit; nil otherwise. Analyze walks it with a
+	// deadlines bit for bit; nil otherwise. Slack walks it with a
 	// cursor instead of merging the n release streams at every scanned
 	// deadline, when the call-time streams line up with it exactly
-	// (see Analyze).
+	// (see Slack).
 	calPos  []float64
 	calTask []int32
 }
 
 // maxGridPoints caps the grid size. Beyond it the build cost would
 // rival the scans it saves, so the analyzer falls back to the plain
-// full-rescan path (sound, just slower — exactly the pre-grid
-// behavior). The evaluation's period pools produce a few hundred to
+// full-rescan path (sound, just slower). The evaluation's period pools produce a few hundred to
 // a few thousand points.
 const maxGridPoints = 1 << 15
 
-// gridCacheSize bounds the process-wide grid cache. Policies rebuild
-// their Analyzer on every Reset, and the serving paths (dvsd result
+// gridCacheSize bounds the process-wide grid cache. Every new policy
+// instance builds its own Analyzer (ReuseFor keeps one only across
+// runs of the same instance), and the serving paths (dvsd result
 // cache misses, experiment replications, benchmark loops) re-run the
 // same handful of task sets over and over — without the cache every
 // one of those runs would pay the grid build again, which at a few
-// thousand points costs as much as several certified Analyze calls.
+// thousand points costs as much as several certified Slack calls.
 const gridCacheSize = 8
 
 // gridKey is one task's contribution to the cache key. Grids are
@@ -248,7 +243,6 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 	// position, and drains at slope util in between; its extrema are
 	// attained just after (max) and just before (min) positions.
 	maxF, minF := 0.0, 0.0
-	g.maxFU = math.Inf(-1)
 	prevCum := 0.0
 	for j := 0; j < n; j++ {
 		after := g.cum[j] - g.util*g.pos[j]
@@ -258,9 +252,6 @@ func buildDemandGridUncached(a *Analyzer) *demandGrid {
 		}
 		if before < minF {
 			minF = before
-		}
-		if after > g.maxFU {
-			g.maxFU = after
 		}
 		prevCum = g.cum[j]
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dvsslack/internal/cpu"
 	"dvsslack/internal/prng"
@@ -34,18 +33,18 @@ func fabricateState(ts *rtm.TaskSet, seed uint64) (now float64, active []*sim.Jo
 	return now, active, func(i int) float64 { return rel[i] }
 }
 
-// TestIncrementalMatchesRescanExactly pins the central contract of
-// the incremental analyzer: in default (exact) mode, the grid
-// certificate must stop scans WITHOUT changing either reading by even
-// an ulp relative to the full-rescan oracle. Equality here is ==, not
-// a tolerance.
-func TestIncrementalMatchesRescanExactly(t *testing.T) {
-	f := func(seed uint64, nRaw, uRaw, stateRaw uint8) bool {
+// FuzzIncrementalMatchesRescan pins the central contract of the
+// incremental analyzer: in default (exact) mode, the grid certificate
+// must stop scans WITHOUT changing the slack by even an ulp relative
+// to the full-rescan oracle. Equality here is ==, not a tolerance.
+func FuzzIncrementalMatchesRescan(f *testing.F) {
+	addSeeds(f, 300, 3, 2)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, uRaw, stateRaw uint8) {
 		n := 1 + int(nRaw)%7
 		u := 0.2 + 0.75*float64(uRaw)/255
 		ts, err := rtm.Generate(rtm.DefaultGenConfig(n, u, seed))
 		if err != nil {
-			return false
+			t.Fatalf("seed=%d n=%d u=%.3f: %v", seed, n, u, err)
 		}
 		now, active, nextRel := fabricateState(ts, seed^uint64(stateRaw)<<8)
 
@@ -53,35 +52,29 @@ func TestIncrementalMatchesRescanExactly(t *testing.T) {
 		ora := NewAnalyzer(ts)
 		ora.SetFullRescan(true)
 
-		gotL, gotS := inc.Analyze(now, active, nextRel)
-		wantL, wantS := ora.Analyze(now, active, nextRel)
-		if gotL != wantL || gotS != wantS {
-			t.Logf("seed=%d n=%d u=%.3f now=%.3f: incremental (%v, %v) != rescan (%v, %v)",
-				seed, n, u, now, gotL, gotS, wantL, wantS)
-			return false
+		got, want := inc.Slack(now, active, nextRel), ora.Slack(now, active, nextRel)
+		if got != want {
+			t.Fatalf("seed=%d n=%d u=%.3f now=%.3f: incremental %v != rescan %v",
+				seed, n, u, now, got, want)
 		}
-		// The slack-only entry point skips the intensity certification
-		// clauses; the slack reading must still be bit-identical.
+		// A second call on the same analyzers reuses their scratch
+		// buffers and certificate cursor; it must read the same.
 		if sl := inc.Slack(now, active, nextRel); sl != ora.Slack(now, active, nextRel) {
-			t.Logf("seed=%d now=%.3f: Slack() diverges from rescan", seed, now)
-			return false
+			t.Errorf("seed=%d now=%.3f: repeated Slack() diverges from rescan", seed, now)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
-// TestIncrementalMatchesRescanWithPhantoms repeats the exactness
+// FuzzIncrementalMatchesRescanWithPhantoms repeats the exactness
 // check with phantom demand registered (the no-reclaim ablation
 // path), which exercises the phantom clauses of the certificate.
-func TestIncrementalMatchesRescanWithPhantoms(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
+func FuzzIncrementalMatchesRescanWithPhantoms(f *testing.F) {
+	addSeeds(f, 200, 1, 3)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8) {
 		n := 2 + int(nRaw)%5
 		ts, err := rtm.Generate(rtm.DefaultGenConfig(n, 0.6, seed))
 		if err != nil {
-			return false
+			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
 		}
 		now, active, nextRel := fabricateState(ts, seed*31+7)
 		src := prng.New(seed ^ 0x9e3779b9)
@@ -95,17 +88,10 @@ func TestIncrementalMatchesRescanWithPhantoms(t *testing.T) {
 			inc.AddPhantom(d, w, false)
 			ora.AddPhantom(d, w, false)
 		}
-		gotL, gotS := inc.Analyze(now, active, nextRel)
-		wantL, wantS := ora.Analyze(now, active, nextRel)
-		if gotL != wantL || gotS != wantS {
-			t.Logf("seed=%d: with phantoms (%v, %v) != rescan (%v, %v)", seed, gotL, gotS, wantL, wantS)
-			return false
+		if got, want := inc.Slack(now, active, nextRel), ora.Slack(now, active, nextRel); got != want {
+			t.Errorf("seed=%d: with phantoms %v != rescan %v", seed, got, want)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // stairCheckPolicy wraps the production lpSHE policy and, at every
@@ -167,7 +153,7 @@ func TestStairBoundSoundInSimulation(t *testing.T) {
 }
 
 // TestStairCreditOverflowStaysSound floods the staircase with credits
-// at many distinct deadlines — far past maxStairLifts — so the
+// at many distinct deadlines — far past stairLiftCap — so the
 // boundary list must compact and fold. Every fold direction is
 // required to be conservative, which the in-simulation soundness
 // check above already enforces; here we pin the unit-level property
@@ -178,7 +164,7 @@ func TestStairCreditOverflowStaysSound(t *testing.T) {
 
 	a := NewAnalyzer(ts)
 	a.SetStairCapture(true)
-	base, _ := a.Analyze(now, active, nextRel)
+	base := a.Slack(now, active, nextRel)
 
 	// Reference analyzer sees the same state; the staircase only ever
 	// receives zero-work credits here, so its bound must stay at or
@@ -205,7 +191,7 @@ func TestStairCreditOverflowStaysSound(t *testing.T) {
 	// Nonzero credits at the front deadline must accumulate uniformly.
 	a2 := NewAnalyzer(ts)
 	a2.SetStairCapture(true)
-	l0, _ := a2.Analyze(now, active, nextRel)
+	l0 := a2.Slack(now, active, nextRel)
 	lb0 := a2.StairBound(now)
 	if lb0 > l0+1e-9 {
 		t.Fatalf("immediate bound %v exceeds analyzed slack %v", lb0, l0)
@@ -272,16 +258,14 @@ func TestAnalyzerReuseFor(t *testing.T) {
 	a := NewAnalyzer(ts1)
 	now, active, nextRel := fabricateState(ts1, 7)
 	a.SetStairCapture(true)
-	a.Analyze(now, active, nextRel)
+	a.Slack(now, active, nextRel)
 	a.StairCredit(now, now+1, 0.5)
 
 	if !a.ReuseFor(ts1b) {
 		t.Fatal("ReuseFor rejected an identical task set")
 	}
-	gotL, gotS := a.Analyze(now, active, nextRel)
-	wantL, wantS := NewAnalyzer(ts1b).Analyze(now, active, nextRel)
-	if gotL != wantL || gotS != wantS {
-		t.Errorf("reused analyzer (%v, %v) != fresh (%v, %v)", gotL, gotS, wantL, wantS)
+	if got, want := a.Slack(now, active, nextRel), NewAnalyzer(ts1b).Slack(now, active, nextRel); got != want {
+		t.Errorf("reused analyzer %v != fresh %v", got, want)
 	}
 	if c := a.Counters()["slack_calls"]; c != 1 {
 		t.Errorf("reuse kept stale counters: slack_calls = %v", c)
@@ -297,7 +281,7 @@ func TestCountersMapReused(t *testing.T) {
 	ts := rtm.MustGenerate(rtm.DefaultGenConfig(4, 0.5, 1))
 	a := NewAnalyzer(ts)
 	now, active, nextRel := fabricateState(ts, 5)
-	a.Analyze(now, active, nextRel)
+	a.Slack(now, active, nextRel)
 
 	c1 := a.Counters()
 	c2 := a.Counters()

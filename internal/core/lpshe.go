@@ -33,10 +33,10 @@ const (
 	Horizon8
 	// Horizon32 truncates the analysis scan to 32 deadlines.
 	Horizon32
-	// Rescan disables the incremental certificate and walks the full
-	// deadline axis to the classic cutoffs at every decision — the
-	// pre-incremental behavior, kept as the crosscheck oracle for
-	// differential testing (results must be byte-identical to Full).
+	// Rescan disables the incremental certificate and walks the
+	// deadline axis to the classic cutoffs at every decision, kept as
+	// the crosscheck oracle for differential testing (results must be
+	// byte-identical to Full).
 	Rescan
 )
 
@@ -99,11 +99,6 @@ type LpSHE struct {
 
 	// Variant selects the ablation mode (default Full).
 	Variant Variant
-	// SafetyMargin, when positive, is added multiplicatively to
-	// every selected speed (s ← s·(1+SafetyMargin)); zero by
-	// default — the analysis is exact and the engine's Eps absorbs
-	// float drift.
-	SafetyMargin float64
 
 	sys      sim.System
 	analyzer *Analyzer
@@ -460,7 +455,7 @@ func (p *LpSHE) paceFill(now float64, active []*sim.JobState) float64 {
 }
 
 // finish applies the slack-independent tail of every decision: the
-// own-deadline floor and the optional safety margin.
+// own-deadline floor.
 func (p *LpSHE) finish(s, w float64, j *sim.JobState, now, reserve float64) float64 {
 	// Never finish after the job's own deadline (the transition
 	// reserve shrinks the usable window under non-zero SwitchTime).
@@ -470,9 +465,6 @@ func (p *LpSHE) finish(s, w float64, j *sim.JobState, now, reserve float64) floa
 		}
 	} else {
 		s = 1
-	}
-	if p.SafetyMargin > 0 {
-		s *= 1 + p.SafetyMargin
 	}
 	return s
 }

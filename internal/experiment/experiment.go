@@ -16,7 +16,6 @@ import (
 	"dvsslack/internal/report"
 	"dvsslack/internal/rtm"
 	"dvsslack/internal/sim"
-	"dvsslack/internal/stats"
 	"dvsslack/internal/workload"
 )
 
@@ -65,7 +64,9 @@ type Options struct {
 	// Quick selects a reduced configuration for tests and benches.
 	Quick bool
 	// Exec, when non-nil, replaces in-process sim.Run for every
-	// measurement (e.g. remote execution against a dvsd daemon).
+	// simulation cell run through runSeededPoints (e.g. remote
+	// execution against a dvsd daemon). F9 and T5 call sim.Run
+	// directly and never reach it.
 	Exec Exec
 	// Workers bounds how many simulation cells run concurrently
 	// (default GOMAXPROCS; 1 forces the serial path). Reports are
@@ -165,18 +166,33 @@ func RunPointExec(p Point, factories []PolicyFactory, exec Exec) (PointResult, e
 	return out, err
 }
 
+// sample is the harness's mean accumulator.
+type sample struct {
+	sum float64
+	n   int
+}
+
+func (s *sample) add(v float64) { s.sum += v; s.n++ }
+
+func (s *sample) mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
+
 // sweepPoint aggregates normalized energy across seeded replications
 // of a synthetic configuration.
 type sweepPoint struct {
-	norm   map[string]*stats.Sample
-	bound  *stats.Sample
+	norm   map[string]*sample
+	bound  *sample
 	misses int
 }
 
 func newSweepPoint(names []string) *sweepPoint {
-	sp := &sweepPoint{norm: map[string]*stats.Sample{}, bound: &stats.Sample{}}
+	sp := &sweepPoint{norm: map[string]*sample{}, bound: &sample{}}
 	for _, n := range names {
-		sp.norm[n] = &stats.Sample{}
+		sp.norm[n] = &sample{}
 	}
 	return sp
 }
@@ -207,9 +223,9 @@ func runSweepPointDetail(n int, u float64, mkGen func(seed uint64) workload.Gene
 		},
 		func(_ int, pr PointResult) {
 			for _, name := range names {
-				sp.norm[name].Add(pr.Normalized[name])
+				sp.norm[name].add(pr.Normalized[name])
 			}
-			sp.bound.Add(pr.Bound)
+			sp.bound.add(pr.Bound)
 			sp.misses += pr.Misses
 			if each != nil {
 				each(pr.Results)

@@ -168,7 +168,7 @@ func Fig10WorkloadShapes(opts Options) (*Report, error) {
 		}
 		row := []any{shape.name}
 		for _, n := range names {
-			v := sp.norm[n].Mean()
+			v := sp.norm[n].mean()
 			row = append(row, v)
 			r.set(fmt.Sprintf("%s/%s", n, shape.name), v)
 		}
@@ -177,20 +177,4 @@ func Fig10WorkloadShapes(opts Options) (*Report, error) {
 	}
 	r.Tables = append(r.Tables, tbl)
 	return r, nil
-}
-
-// sample is a tiny mean accumulator (the stats package is overkill
-// for the per-point aggregation here).
-type sample struct {
-	sum float64
-	n   int
-}
-
-func (s *sample) add(v float64) { s.sum += v; s.n++ }
-
-func (s *sample) mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
 }

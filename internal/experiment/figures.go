@@ -53,12 +53,12 @@ func sweepToReport(r *Report, xs []float64, xLabel string, names []string,
 	for i, sp := range points {
 		row := []any{xs[i]}
 		for _, n := range names {
-			v := sp.norm[n].Mean()
+			v := sp.norm[n].mean()
 			row = append(row, v)
 			series[n].Y = append(series[n].Y, v)
 			r.set(fmt.Sprintf("%s/%g", n, xs[i]), v)
 		}
-		b := sp.bound.Mean()
+		b := sp.bound.mean()
 		row = append(row, b)
 		series["bound"].Y = append(series["bound"].Y, b)
 		r.set(fmt.Sprintf("bound/%g", xs[i]), b)
@@ -192,7 +192,7 @@ func Fig6DiscreteLevels(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			v := sp.norm[polName].Mean()
+			v := sp.norm[polName].mean()
 			ys = append(ys, v)
 			cells[xi][pi] = v
 			r.set(fmt.Sprintf("%s/%g", pc.name, u), v)
@@ -280,7 +280,7 @@ func Fig7TransitionOverhead(opts Options) (*Report, error) {
 				return nil, err
 			}
 			name := factoryNames(factories)[1]
-			v := sp.norm[name].Mean()
+			v := sp.norm[name].mean()
 			cells[pc.name] = append(cells[pc.name], v)
 			r.set(fmt.Sprintf("%s/%g", pc.name, st), v)
 			r.set(fmt.Sprintf("misses/%s/%g", pc.name, st), float64(sp.misses))

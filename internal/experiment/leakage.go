@@ -63,7 +63,7 @@ func Fig11Leakage(opts Options) (*Report, error) {
 				return nil, err
 			}
 			name := factoryNames(factories)[1]
-			v := sp.norm[name].Mean()
+			v := sp.norm[name].mean()
 			cells[pc.name] = append(cells[pc.name], v)
 			r.set(fmt.Sprintf("%s/%g", pc.name, leak), v)
 			r.set(fmt.Sprintf("misses/%s/%g", pc.name, leak), float64(sp.misses))

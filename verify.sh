@@ -1,7 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's tier-1 gate: static checks, the perfbench
 # module's vet and smoke test, the full test suite under the race
-# detector, the full experiment run compared byte
+# detector, a time-boxed native fuzz pass (10 s per target: the
+# internal/core property targets and the job-checkpoint decoder),
+# the full experiment run compared byte
 # for byte with docs/results-full.txt, an end-to-end smoke test of the
 # dvsd daemon (start, run one lpSHE simulation over HTTP, assert zero
 # deadline misses, scrape /metrics.prom and check the exposition is
@@ -65,7 +67,7 @@ go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
 
 echo "==> perf pass (alloc guards + hot-path smoke)"
 # The AllocsPerRun guards pin the zero-steady-state-allocation
-# property of the analyzer hot path (Analyze, the staircase cycle,
+# property of the analyzer hot path (Slack, the staircase cycle,
 # SelectSpeed, Counters), of laEDF's decision and DRA's job cycle,
 # and hold an engine run's allocations to a bound that does not grow
 # with the horizon (job states are recycled); then a fixed-count run
@@ -97,6 +99,17 @@ echo "$PERF_OUT" | awk '
 }
 END { exit bad }
 ' || { echo "$PERF_OUT" >&2; exit 1; }
+
+echo "==> native fuzz pass (10 s per target)"
+# go test replays every target's seeds and committed corpus; here the
+# fuzzer also searches past them. An input it finds failing is written
+# to the package's testdata/fuzz/<Target>/ and fails this step: commit
+# it with the mend, so every later go test replays it.
+for target in FuzzSlackMatchesBruteForce FuzzIncrementalMatchesRescan \
+    FuzzIncrementalMatchesRescanWithPhantoms FuzzLpSHENeverMisses FuzzLpSHEJitter; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/core
+done
+go test -run '^$' -fuzz '^FuzzJobCheckpoint$' -fuzztime 10s ./internal/server
 
 echo "==> report bytes (dvsexp -exp all vs docs/results-full.txt)"
 # The committed full run must be the live one byte for byte: it cannot
